@@ -40,7 +40,7 @@ mod kernel;
 mod mix;
 mod reg;
 
-pub use addr::AddrGen;
+pub use addr::{mix64, AddrGen};
 pub use builder::KernelBuilder;
 pub use instr::{Instruction, MemSpace, Opcode, UnitType, MAX_SRCS};
 pub use kernel::{Kernel, KernelCursor, Segment};

@@ -4,7 +4,35 @@
 //! Both caches store full line addresses rather than split tags — the
 //! model is timing-only, so there is no data array, and keeping the
 //! whole line address makes the LRU stacks directly inspectable in
-//! tests.
+//! tests. Every set's stack lives in one flat array of `ways` slots
+//! per set plus a per-set fill count, so a lookup touches one
+//! contiguous run of memory and a promotion is a single in-place
+//! rotation.
+
+/// Finds the entry of the LRU stack `set` that satisfies `hit` and
+/// promotes it to most-recently-used (slot 0), returning it.
+fn find_and_promote<T>(set: &mut [T], hit: impl Fn(&T) -> bool) -> Option<&mut T> {
+    let pos = set.iter().position(hit)?;
+    set[..=pos].rotate_right(1);
+    Some(&mut set[0])
+}
+
+/// Pushes `item` onto the front of a set's stack (`slots` is the
+/// set's full `ways`-slot region, `len` its fill count), returning
+/// the least-recently-used item if the set was full.
+fn push_front<T: Copy>(slots: &mut [T], len: &mut u32, item: T) -> Option<T> {
+    let n = *len as usize;
+    let evicted = if n == slots.len() {
+        Some(slots[n - 1])
+    } else {
+        *len += 1;
+        None
+    };
+    let keep = (*len as usize) - 1;
+    slots.copy_within(..keep, 1);
+    slots[0] = item;
+    evicted
+}
 
 /// A banked, set-associative, tag-only cache with LRU replacement.
 ///
@@ -13,7 +41,10 @@
 /// explicit LRU stack: index 0 is the most recently used way.
 #[derive(Debug, Clone)]
 pub struct SetAssocCache {
-    sets: Vec<Vec<u64>>,
+    /// `ways` slots per set, most-recent first; only the first
+    /// `lens[set]` of each set are resident.
+    slots: Vec<u64>,
+    lens: Vec<u32>,
     ways: usize,
     bank_mask: u64,
     bank_shift: u32,
@@ -26,8 +57,10 @@ impl SetAssocCache {
     /// and `ways >= 1` (validated by the caller's config).
     #[must_use]
     pub fn new(sets: u32, ways: u32, banks: u32) -> Self {
+        let n = (sets * banks) as usize;
         SetAssocCache {
-            sets: vec![Vec::new(); (sets * banks) as usize],
+            slots: vec![0; n * ways as usize],
+            lens: vec![0; n],
             ways: ways as usize,
             bank_mask: u64::from(banks - 1),
             bank_shift: banks.trailing_zeros(),
@@ -42,56 +75,51 @@ impl SetAssocCache {
         (bank * self.sets_per_bank + set) as usize
     }
 
+    fn stack_mut(&mut self, idx: usize) -> &mut [u64] {
+        let base = idx * self.ways;
+        &mut self.slots[base..base + self.lens[idx] as usize]
+    }
+
     /// Looks up `line`; on a hit, promotes it to most-recently-used.
     pub fn probe_and_touch(&mut self, line: u64) -> bool {
         let idx = self.set_index(line);
-        let set = &mut self.sets[idx];
-        match set.iter().position(|&l| l == line) {
-            Some(pos) => {
-                let l = set.remove(pos);
-                set.insert(0, l);
-                true
-            }
-            None => false,
-        }
+        find_and_promote(self.stack_mut(idx), |&l| l == line).is_some()
     }
 
     /// Installs `line` as most-recently-used, returning the evicted
     /// line if the set was full. Installing a resident line just
     /// promotes it.
     pub fn install(&mut self, line: u64) -> Option<u64> {
-        let ways = self.ways;
         let idx = self.set_index(line);
-        let set = &mut self.sets[idx];
-        if let Some(pos) = set.iter().position(|&l| l == line) {
-            let l = set.remove(pos);
-            set.insert(0, l);
+        if find_and_promote(self.stack_mut(idx), |&l| l == line).is_some() {
             return None;
         }
-        set.insert(0, line);
-        if set.len() > ways {
-            set.pop()
-        } else {
-            None
-        }
+        let base = idx * self.ways;
+        push_front(
+            &mut self.slots[base..base + self.ways],
+            &mut self.lens[idx],
+            line,
+        )
     }
 
     /// Whether `line` is resident, without touching LRU state.
     #[must_use]
     pub fn contains(&self, line: u64) -> bool {
-        self.sets[self.set_index(line)].contains(&line)
+        self.stack_of(line).contains(&line)
     }
 
     /// The LRU stack of the set holding `line`, most-recent first
     /// (exposed for property tests).
     #[must_use]
     pub fn stack_of(&self, line: u64) -> &[u64] {
-        &self.sets[self.set_index(line)]
+        let idx = self.set_index(line);
+        let base = idx * self.ways;
+        &self.slots[base..base + self.lens[idx] as usize]
     }
 }
 
 /// One sectored line: a tag plus a valid bit per sector.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy, Default)]
 struct SectorLine {
     tag: u64,
     valid: u64,
@@ -102,7 +130,10 @@ struct SectorLine {
 /// set over tags, like [`SetAssocCache`].
 #[derive(Debug, Clone)]
 pub struct SectoredCache {
-    sets: Vec<Vec<SectorLine>>,
+    /// `ways` slots per set, most-recent first; only the first
+    /// `lens[set]` of each set are resident.
+    slots: Vec<SectorLine>,
+    lens: Vec<u32>,
     ways: usize,
     set_mask: u64,
 }
@@ -112,7 +143,8 @@ impl SectoredCache {
     #[must_use]
     pub fn new(sets: u32, ways: u32) -> Self {
         SectoredCache {
-            sets: vec![Vec::new(); sets as usize],
+            slots: vec![SectorLine::default(); (sets * ways) as usize],
+            lens: vec![0; sets as usize],
             ways: ways as usize,
             set_mask: u64::from(sets - 1),
         }
@@ -122,19 +154,22 @@ impl SectoredCache {
         (tag & self.set_mask) as usize
     }
 
+    fn stack(&self, idx: usize) -> &[SectorLine] {
+        let base = idx * self.ways;
+        &self.slots[base..base + self.lens[idx] as usize]
+    }
+
+    fn stack_mut(&mut self, idx: usize) -> &mut [SectorLine] {
+        let base = idx * self.ways;
+        &mut self.slots[base..base + self.lens[idx] as usize]
+    }
+
     /// Looks up sector `sector` of line `tag`; a hit needs both a tag
     /// match and a valid sector, and promotes the line to MRU.
     pub fn probe_and_touch(&mut self, tag: u64, sector: u32) -> bool {
+        let bit = 1u64 << sector;
         let idx = self.set_index(tag);
-        let set = &mut self.sets[idx];
-        match set.iter().position(|l| l.tag == tag) {
-            Some(pos) if set[pos].valid & (1u64 << sector) != 0 => {
-                let l = set.remove(pos);
-                set.insert(0, l);
-                true
-            }
-            _ => false,
-        }
+        find_and_promote(self.stack_mut(idx), |l| l.tag == tag && l.valid & bit != 0).is_some()
     }
 
     /// Installs sector `sector` of line `tag` as MRU. A tag miss claims
@@ -142,34 +177,26 @@ impl SectoredCache {
     /// returned with its surviving sector mask); a tag hit just sets
     /// the sector bit.
     pub fn install(&mut self, tag: u64, sector: u32) -> Option<(u64, u64)> {
-        let ways = self.ways;
+        let bit = 1u64 << sector;
         let idx = self.set_index(tag);
-        let set = &mut self.sets[idx];
-        if let Some(pos) = set.iter().position(|l| l.tag == tag) {
-            let mut l = set.remove(pos);
-            l.valid |= 1u64 << sector;
-            set.insert(0, l);
+        if let Some(l) = find_and_promote(self.stack_mut(idx), |l| l.tag == tag) {
+            l.valid |= bit;
             return None;
         }
-        set.insert(
-            0,
-            SectorLine {
-                tag,
-                valid: 1u64 << sector,
-            },
-        );
-        if set.len() > ways {
-            set.pop().map(|l| (l.tag, l.valid))
-        } else {
-            None
-        }
+        let base = idx * self.ways;
+        push_front(
+            &mut self.slots[base..base + self.ways],
+            &mut self.lens[idx],
+            SectorLine { tag, valid: bit },
+        )
+        .map(|l| (l.tag, l.valid))
     }
 
     /// Whether sector `sector` of line `tag` is resident and valid,
     /// without touching LRU state.
     #[must_use]
     pub fn contains(&self, tag: u64, sector: u32) -> bool {
-        self.sets[self.set_index(tag)]
+        self.stack(self.set_index(tag))
             .iter()
             .any(|l| l.tag == tag && l.valid & (1u64 << sector) != 0)
     }

@@ -10,7 +10,7 @@
 //! fast-forwarding, and event-queue simulations agree bit-for-bit.
 
 use crate::cache::{SectoredCache, SetAssocCache};
-use crate::mshr::{L2MshrFile, MshrFile};
+use crate::mshr::{L2MshrFile, MshrEntry, MshrFile};
 use crate::HierarchyConfig;
 
 /// Cycles of DRAM-bandwidth slack before stores start reserving slots
@@ -94,6 +94,9 @@ pub struct Hierarchy {
     l2_mshr: L2MshrFile,
     dram_free_at: u64,
     stats: HierarchyStats,
+    /// Drain buffers reused by every [`Hierarchy::advance`].
+    l1_due: Vec<MshrEntry>,
+    l2_due: Vec<(u64, u64, u32)>,
 }
 
 impl Hierarchy {
@@ -111,6 +114,8 @@ impl Hierarchy {
             l2_mshr: L2MshrFile::new(cfg.l2_mshr_entries, cfg.l2_sectors),
             dram_free_at: 0,
             stats: HierarchyStats::default(),
+            l1_due: Vec::with_capacity(cfg.l1_mshr_entries as usize),
+            l2_due: Vec::with_capacity((cfg.l2_mshr_entries * cfg.l2_sectors) as usize),
             cfg,
         }
     }
@@ -123,14 +128,20 @@ impl Hierarchy {
 
     /// Installs every fill due by `cycle` into the tag arrays, in
     /// deterministic `(fill_cycle, line)` order. Idempotent; calling it
-    /// once per span or once per cycle yields the same state.
+    /// once per span or once per cycle yields the same state. O(1)
+    /// when no fill is due: both MSHR files keep their earliest fill
+    /// cycle as a watermark.
     pub fn advance(&mut self, cycle: u64) {
-        for (_, l2_line, sector) in self.l2_mshr.take_due(cycle) {
+        if cycle < self.l1_mshr.next_due().min(self.l2_mshr.next_due()) {
+            return;
+        }
+        self.l2_mshr.take_due(cycle, &mut self.l2_due);
+        for &(_, l2_line, sector) in &self.l2_due {
             self.l2.install(l2_line, sector);
         }
-        let due = self.l1_mshr.take_due(cycle);
-        self.stats.fills += due.len() as u64;
-        for e in due {
+        self.l1_mshr.take_due(cycle, &mut self.l1_due);
+        self.stats.fills += self.l1_due.len() as u64;
+        for e in &self.l1_due {
             self.l1.install(e.line);
         }
     }
@@ -163,9 +174,7 @@ impl Hierarchy {
             };
         }
         self.stats.l1_misses += 1;
-        if let Some(e) = self.l1_mshr.find_mut(line) {
-            e.merges += 1;
-            let fill_cycle = e.fill_cycle;
+        if let Some(fill_cycle) = self.l1_mshr.merge(line) {
             self.stats.mshr_merges += 1;
             debug_assert!(fill_cycle > cycle, "in-flight fill must be in the future");
             return LoadOutcome {
@@ -241,12 +250,6 @@ impl Hierarchy {
     #[must_use]
     pub fn stats(&self) -> HierarchyStats {
         self.stats
-    }
-
-    /// Loads currently waiting on fills (live L1 MSHR entries).
-    #[must_use]
-    pub fn outstanding_lines(&self) -> usize {
-        self.l1_mshr.live()
     }
 
     /// End-of-run conservation check: drains every in-flight fill and
@@ -478,6 +481,65 @@ mod tests {
             (h.stats(), lats)
         };
         assert_eq!(run(false), run(true));
+    }
+
+    #[test]
+    fn watermarks_track_live_fills_and_skipping_matches_stepping() {
+        // Seeded loads, stores and credit probes with random cycle gaps.
+        // After every call each MSHR file's watermark must equal the
+        // minimum over its live fills, and the hierarchy must behave
+        // exactly like a twin advanced on every single cycle.
+        for cfg in [
+            HierarchyConfig::small_for_tests(),
+            HierarchyConfig::default(),
+        ] {
+            // Twice the L2's capacity: every outcome shows up.
+            let footprint = 2 * u64::from(cfg.l2_sets * cfg.l2_ways * cfg.l2_sectors);
+            let line_size = u64::from(cfg.line_size);
+            let mut lazy = Hierarchy::new(cfg.clone());
+            let mut stepped = Hierarchy::new(cfg);
+            let (mut cycle, mut clock, mut seed) = (0u64, 0u64, 0x5eed_u64);
+            for _ in 0..4000 {
+                seed = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
+                let mut z = (seed ^ (seed >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+                z ^= z >> 31;
+                cycle += match z % 16 {
+                    0 => (z >> 8) % 1000,
+                    1..=5 => 0,
+                    _ => (z >> 8) % 24,
+                };
+                while clock < cycle {
+                    clock += 1;
+                    stepped.advance(clock);
+                }
+                let a = ((z >> 20) % footprint) * line_size;
+                if (z >> 4) % 8 == 0 {
+                    lazy.store(cycle, a);
+                    stepped.store(cycle, a);
+                } else {
+                    let credits = lazy.load_credits(cycle);
+                    assert_eq!(credits, stepped.load_credits(cycle));
+                    // One call in seven is a bare credit probe.
+                    if credits > 0 && (z >> 4) % 8 != 1 {
+                        assert_eq!(lazy.load(cycle, a), stepped.load(cycle, a));
+                    }
+                }
+                for h in [&lazy, &stepped] {
+                    assert_eq!(h.l1_mshr.next_due(), h.l1_mshr.brute_next_due());
+                    assert_eq!(h.l2_mshr.next_due(), h.l2_mshr.brute_next_due());
+                }
+                assert_eq!(lazy.stats(), stepped.stats());
+            }
+            lazy.assert_conserved(cycle);
+            stepped.assert_conserved(cycle);
+            let s = lazy.stats();
+            assert_eq!(s, stepped.stats());
+            assert!(
+                s.l1_hits > 0 && s.mshr_merges > 0 && s.l2_hits > 0 && s.l2_coalesced > 0,
+                "stream exercises hits, merges and both L2 outcomes: {s:?}"
+            );
+        }
     }
 
     #[test]

@@ -16,16 +16,8 @@
 
 use crate::config::MemoryConfig;
 use crate::stats::MemoryStats;
-use warped_isa::AddrGen;
+use warped_isa::{mix64, AddrGen};
 use warped_mem::{Hierarchy, LoadOutcome};
-
-/// Deterministic 64-bit mix (splitmix64 finalizer).
-fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
 
 /// Result of issuing one global load through
 /// [`MemorySubsystem::issue_global_load_at`].
