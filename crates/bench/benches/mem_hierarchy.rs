@@ -11,15 +11,8 @@
 //!   full and the fills that free them.
 
 use warped_bench::timing::{bench, group};
+use warped_isa::mix64;
 use warped_mem::{Hierarchy, HierarchyConfig};
-
-/// SplitMix64 finalizer: the stream's deterministic line hash.
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
 
 fn main() {
     let cfg = HierarchyConfig::default();
@@ -51,7 +44,7 @@ fn main() {
             cycle += 1;
         }
         n += 1;
-        let out = h.load(cycle, (mix(n) % footprint) * line);
+        let out = h.load(cycle, (mix64(n) % footprint) * line);
         cycle += 2;
         out
     });

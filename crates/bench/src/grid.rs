@@ -9,14 +9,16 @@
 //! a freshly simulated cell can be diffed against the checked-in grid
 //! without a Python round trip.
 //!
-//! The parser is a small recursive-descent scanner over exactly the
-//! shape `write_json` emits (`title`/`headers`/`rows`, each row a
-//! `label` plus numeric `values`, `null` for non-finite numbers). It
-//! tolerates arbitrary inter-token whitespace but rejects unknown
-//! keys, so drift between writer and reader fails loudly.
+//! Parsing is the workspace's one JSON parser
+//! ([`warped_telemetry::json`]) plus a shape check over exactly what
+//! `write_json` emits: the keys `title`, `headers`, `rows` in that
+//! order, each row a `label` plus numeric `values`, `null` for
+//! non-finite numbers. Unknown, missing or reordered keys are
+//! rejected, so drift between writer and reader fails loudly.
 
 use std::io;
 use std::path::Path;
+use warped_telemetry::json::{self, JsonValue};
 
 /// One row of a table: the label plus one value per header column.
 /// A JSON `null` (how [`write_json`](crate::write_json) spells a
@@ -88,47 +90,38 @@ impl GridTable {
     ///
     /// # Errors
     ///
-    /// Returns [`GridError::Parse`] (with a byte offset) on any
-    /// structural mismatch.
+    /// Returns [`GridError::Parse`] on any structural mismatch: with the
+    /// byte offset of malformed JSON, or offset 0 when well-formed JSON
+    /// is not a `write_json` table.
     pub fn parse(text: &str) -> Result<Self, GridError> {
-        let mut p = Parser {
-            b: text.as_bytes(),
-            pos: 0,
-        };
-        p.token("{")?;
-        p.key("title")?;
-        let title = p.string()?;
-        p.token(",")?;
-        p.key("headers")?;
-        let headers = p.string_array()?;
-        p.token(",")?;
-        p.key("rows")?;
-        p.token("[")?;
-        let mut rows = Vec::new();
-        if !p.try_token("]") {
-            loop {
-                p.token("{")?;
-                p.key("label")?;
-                let label = p.string()?;
-                p.token(",")?;
-                p.key("values")?;
-                let values = p.number_array()?;
-                p.token("}")?;
-                rows.push(GridRow { label, values });
-                if !p.try_token(",") {
-                    break;
-                }
-            }
-            p.token("]")?;
-        }
-        p.token("}")?;
-        p.ws();
-        if p.pos != p.b.len() {
-            return Err(p.err("trailing bytes after the table"));
-        }
+        let doc = json::parse(text).map_err(|e| GridError::Parse {
+            offset: e.offset,
+            message: e.message,
+        })?;
+        let [title, headers, rows] = fields(doc, ["title", "headers", "rows"])?;
+        let rows = array(rows, "rows")?
+            .into_iter()
+            .map(|row| {
+                let [label, values] = fields(row, ["label", "values"])?;
+                Ok(GridRow {
+                    label: string(label, "label")?,
+                    values: array(values, "values")?
+                        .into_iter()
+                        .map(|v| match v {
+                            JsonValue::Num(n) => Ok(n),
+                            JsonValue::Null => Ok(f64::NAN),
+                            _ => Err(shape("values must be numbers or null")),
+                        })
+                        .collect::<Result<_, _>>()?,
+                })
+            })
+            .collect::<Result<_, GridError>>()?;
         Ok(GridTable {
-            title,
-            headers,
+            title: string(title, "title")?,
+            headers: array(headers, "headers")?
+                .into_iter()
+                .map(|h| string(h, "headers"))
+                .collect::<Result<_, _>>()?,
             rows,
         })
     }
@@ -147,165 +140,37 @@ impl GridTable {
     }
 }
 
-struct Parser<'a> {
-    b: &'a [u8],
-    pos: usize,
+fn shape(message: impl Into<String>) -> GridError {
+    GridError::Parse {
+        offset: 0,
+        message: message.into(),
+    }
 }
 
-impl Parser<'_> {
-    fn err(&self, message: impl Into<String>) -> GridError {
-        GridError::Parse {
-            offset: self.pos,
-            message: message.into(),
+/// The values of an object whose keys are exactly `keys`, in order.
+fn fields<const N: usize>(v: JsonValue, keys: [&str; N]) -> Result<[JsonValue; N], GridError> {
+    match v {
+        JsonValue::Obj(members) if members.iter().map(|(k, _)| k.as_str()).eq(keys) => {
+            let mut values = members.into_iter().map(|(_, v)| v);
+            Ok(std::array::from_fn(|_| {
+                values.next().expect("key count checked above")
+            }))
         }
+        _ => Err(shape(format!("expected an object with keys {keys:?}"))),
     }
+}
 
-    fn ws(&mut self) {
-        while self
-            .b
-            .get(self.pos)
-            .is_some_and(|c| c.is_ascii_whitespace())
-        {
-            self.pos += 1;
-        }
+fn array(v: JsonValue, what: &str) -> Result<Vec<JsonValue>, GridError> {
+    match v {
+        JsonValue::Arr(items) => Ok(items),
+        _ => Err(shape(format!("{what} must be an array"))),
     }
+}
 
-    /// Consumes a literal token (after whitespace) or errors.
-    fn token(&mut self, t: &str) -> Result<(), GridError> {
-        if self.try_token(t) {
-            Ok(())
-        } else {
-            Err(self.err(format!("expected '{t}'")))
-        }
-    }
-
-    /// Consumes a literal token (after whitespace) if present.
-    fn try_token(&mut self, t: &str) -> bool {
-        self.ws();
-        if self.b[self.pos..].starts_with(t.as_bytes()) {
-            self.pos += t.len();
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Consumes `"name":`.
-    fn key(&mut self, name: &str) -> Result<(), GridError> {
-        let got = self.string()?;
-        if got != name {
-            return Err(self.err(format!("expected key \"{name}\", found \"{got}\"")));
-        }
-        self.token(":")
-    }
-
-    /// Consumes a JSON string, decoding the escapes `write_json` emits
-    /// (`\"`, `\\`, `\uXXXX`) plus the standard short forms.
-    fn string(&mut self) -> Result<String, GridError> {
-        self.token("\"")?;
-        let mut out = String::new();
-        loop {
-            let c = *self
-                .b
-                .get(self.pos)
-                .ok_or_else(|| self.err("unterminated string"))?;
-            self.pos += 1;
-            match c {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let e = *self
-                        .b
-                        .get(self.pos)
-                        .ok_or_else(|| self.err("unterminated escape"))?;
-                    self.pos += 1;
-                    match e {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        b'r' => out.push('\r'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = self
-                                .b
-                                .get(self.pos..self.pos + 4)
-                                .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let hex =
-                                std::str::from_utf8(hex).map_err(|_| self.err("bad \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            self.pos += 4;
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| self.err("surrogate \\u escape"))?,
-                            );
-                        }
-                        _ => return Err(self.err("unknown escape")),
-                    }
-                }
-                _ => {
-                    // Re-borrow the original UTF-8 for multi-byte chars.
-                    let start = self.pos - 1;
-                    let mut end = self.pos;
-                    while end < self.b.len() && (self.b[end] & 0xc0) == 0x80 {
-                        end += 1;
-                    }
-                    let s = std::str::from_utf8(&self.b[start..end])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    out.push_str(s);
-                    self.pos = end;
-                }
-            }
-        }
-    }
-
-    /// Consumes a JSON number or `null` (→ NaN).
-    fn number(&mut self) -> Result<f64, GridError> {
-        if self.try_token("null") {
-            return Ok(f64::NAN);
-        }
-        self.ws();
-        let start = self.pos;
-        while self
-            .b
-            .get(self.pos)
-            .is_some_and(|c| matches!(c, b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E'))
-        {
-            self.pos += 1;
-        }
-        std::str::from_utf8(&self.b[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| self.err("expected a number or null"))
-    }
-
-    fn string_array(&mut self) -> Result<Vec<String>, GridError> {
-        self.array(Parser::string)
-    }
-
-    fn number_array(&mut self) -> Result<Vec<f64>, GridError> {
-        self.array(Parser::number)
-    }
-
-    fn array<T>(
-        &mut self,
-        mut elem: impl FnMut(&mut Self) -> Result<T, GridError>,
-    ) -> Result<Vec<T>, GridError> {
-        self.token("[")?;
-        let mut out = Vec::new();
-        if self.try_token("]") {
-            return Ok(out);
-        }
-        loop {
-            out.push(elem(self)?);
-            if !self.try_token(",") {
-                break;
-            }
-        }
-        self.token("]")?;
-        Ok(out)
+fn string(v: JsonValue, what: &str) -> Result<String, GridError> {
+    match v {
+        JsonValue::Str(s) => Ok(s),
+        _ => Err(shape(format!("{what} must be a string"))),
     }
 }
 
@@ -337,6 +202,7 @@ mod tests {
         let rows = vec![
             ("hotspot/GATES".to_owned(), vec![123.0, 4.5]),
             ("quote\"d\\label".to_owned(), vec![f64::NAN, -2e3]),
+            ("x\",\"cycles\":5,\"x\":\"\u{1}y".to_owned(), vec![1.0, 2.0]),
         ];
         crate::write_json(&dir, "Round Trip", &["a", "b"], &rows).unwrap();
         let t = GridTable::load(dir.join("round_trip.json")).unwrap();
@@ -345,6 +211,8 @@ mod tests {
         assert_eq!(t.rows[1].label, "quote\"d\\label");
         assert!(t.rows[1].values[0].is_nan());
         assert_eq!(t.rows[1].values[1], -2000.0);
+        assert_eq!(t.rows[2].label, rows[2].0);
+        assert_eq!(t.rows[2].values, rows[2].1);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -371,6 +239,10 @@ mod tests {
             "{\"headers\":[],\"title\":\"x\",\"rows\":[]}",
             "{\"title\":\"x\",\"headers\":[],\"rows\":[]} extra",
             "{\"title\":\"x\",\"headers\":[],\"rows\":[{\"label\":\"a\",\"values\":[oops]}]}",
+            "{\"title\":\"x\",\"headers\":[],\"rows\":[{\"label\":\"a\",\"values\":[\"1\"]}]}",
+            "{\"title\":\"x\",\"headers\":[],\"rows\":[{\"values\":[],\"label\":\"a\"}]}",
+            "{\"title\":\"x\",\"headers\":[1],\"rows\":[]}",
+            "{\"title\":\"x\",\"headers\":[],\"rows\":[],\"extra\":0}",
         ] {
             match GridTable::parse(bad) {
                 Err(GridError::Parse { .. }) => {}

@@ -14,6 +14,7 @@
 
 use std::io::Write as _;
 use std::path::Path;
+use warped_telemetry::json::{self, escape};
 
 /// One completed grid cell, as journaled by the sweep engine.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -26,75 +27,6 @@ pub struct JournalEntry {
     pub cycles: u64,
     /// Cycles covered by the event-driven fast-forward clock.
     pub ff_cycles: u64,
-}
-
-fn escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => "\\\"".chars().collect::<Vec<_>>(),
-            '\\' => "\\\\".chars().collect(),
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
-}
-
-fn unescape(s: &str) -> Option<String> {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next()? {
-            '"' => out.push('"'),
-            '\\' => out.push('\\'),
-            'u' => {
-                let hex: String = chars.by_ref().take(4).collect();
-                if hex.len() != 4 {
-                    return None;
-                }
-                let code = u32::from_str_radix(&hex, 16).ok()?;
-                out.push(char::from_u32(code)?);
-            }
-            _ => return None,
-        }
-    }
-    Some(out)
-}
-
-/// Pulls `"key":<number>` out of a JSONL line.
-fn field_u64(line: &str, key: &str) -> Option<u64> {
-    let needle = format!("\"{key}\":");
-    let start = line.find(&needle)? + needle.len();
-    let rest = &line[start..];
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    if end == 0 {
-        return None;
-    }
-    rest[..end].parse().ok()
-}
-
-/// Pulls `"key":"<escaped string>"` out of a JSONL line.
-fn field_str(line: &str, key: &str) -> Option<String> {
-    let needle = format!("\"{key}\":\"");
-    let start = line.find(&needle)? + needle.len();
-    let rest = &line[start..];
-    // Find the closing quote, skipping escaped ones.
-    let mut escaped = false;
-    for (i, c) in rest.char_indices() {
-        if escaped {
-            escaped = false;
-        } else if c == '\\' {
-            escaped = true;
-        } else if c == '"' {
-            return unescape(&rest[..i]);
-        }
-    }
-    None
 }
 
 impl JournalEntry {
@@ -113,15 +45,12 @@ impl JournalEntry {
     /// Parses one journal line; `None` for torn or malformed lines.
     #[must_use]
     pub fn parse(line: &str) -> Option<JournalEntry> {
-        let line = line.trim();
-        if !line.starts_with('{') || !line.ends_with('}') {
-            return None;
-        }
+        let v = json::parse(line).ok()?;
         Some(JournalEntry {
-            index: usize::try_from(field_u64(line, "index")?).ok()?,
-            label: field_str(line, "label")?,
-            cycles: field_u64(line, "cycles")?,
-            ff_cycles: field_u64(line, "ff_cycles")?,
+            index: usize::try_from(v.get("index")?.as_u64()?).ok()?,
+            label: v.get("label")?.as_str()?.to_owned(),
+            cycles: v.get("cycles")?.as_u64()?,
+            ff_cycles: v.get("ff_cycles")?.as_u64()?,
         })
     }
 
@@ -190,6 +119,14 @@ mod tests {
     fn escaped_labels_round_trip() {
         let e = JournalEntry {
             label: "odd\"label\\with\tescapes".to_owned(),
+            ..entry()
+        };
+        assert_eq!(JournalEntry::parse(&e.to_line()), Some(e));
+
+        // A label that spells out other fields must stay one string, and
+        // a raw control character must survive its \u escape.
+        let e = JournalEntry {
+            label: "x\",\"cycles\":5,\"x\":\"\u{1}y".to_owned(),
             ..entry()
         };
         assert_eq!(JournalEntry::parse(&e.to_line()), Some(e));

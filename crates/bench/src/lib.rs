@@ -21,6 +21,7 @@ pub mod timing;
 use std::collections::BTreeMap;
 use warped_gates::{runner, Experiment, Technique, TechniqueRun};
 use warped_sim::parallel::try_worker_count;
+use warped_telemetry::json::escape;
 use warped_workloads::Benchmark;
 
 /// A malformed command line, as every binary in this crate reports it:
@@ -188,17 +189,6 @@ pub fn write_json(
 ) -> std::io::Result<()> {
     use std::fmt::Write as _;
 
-    fn escape(s: &str) -> String {
-        s.chars()
-            .flat_map(|c| match c {
-                '"' => "\\\"".chars().collect::<Vec<_>>(),
-                '\\' => "\\\\".chars().collect(),
-                c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-                c => vec![c],
-            })
-            .collect()
-    }
-
     fn num(v: f64) -> String {
         if v.is_finite() {
             format!("{v}")
@@ -256,7 +246,6 @@ pub fn write_json(
 /// A cached grid of runs over the 18 benchmarks and the requested
 /// techniques, keyed by `(benchmark, technique)`.
 pub struct RunGrid {
-    experiment: Experiment,
     runs: BTreeMap<(Benchmark, Technique), TechniqueRun>,
 }
 
@@ -290,13 +279,7 @@ impl RunGrid {
             assert!(!run.timed_out, "{b}/{t} timed out");
             runs.insert((b, t), run);
         }
-        RunGrid { experiment, runs }
-    }
-
-    /// The experiment configuration behind this grid.
-    #[must_use]
-    pub fn experiment(&self) -> &Experiment {
-        &self.experiment
+        RunGrid { runs }
     }
 
     /// The cached run for one benchmark × technique pair.

@@ -15,6 +15,7 @@
 //! Degraded cells are deliberately *not* journaled: on resume they run
 //! again, so a transient failure heals itself.
 
+use crate::grid::GridTable;
 use crate::journal::{self, JournalEntry};
 use crate::write_json;
 use std::collections::BTreeMap;
@@ -22,6 +23,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 use warped_gates::runner::{self, GridJob, RunOutcome};
 use warped_gates::{CoreClock, Experiment};
+use warped_telemetry::json::escape;
 use warped_trace::TraceWorkload;
 
 /// Everything a sweep needs to know, CLI-independent.
@@ -152,28 +154,17 @@ pub fn wall_path(out_dir: &Path) -> PathBuf {
 /// totals measured under the others. Missing or malformed files read
 /// as empty — wall numbers are diagnostics, never inputs.
 fn read_wall_totals(path: &Path) -> Vec<(String, f64)> {
-    let Ok(text) = std::fs::read_to_string(path) else {
+    let Ok(table) = GridTable::load(path) else {
         return Vec::new();
     };
-    let mut out = Vec::new();
-    let mut rest = text.as_str();
-    while let Some(p) = rest.find("{\"label\":\"") {
-        rest = &rest[p + 10..];
-        let Some(q) = rest.find('"') else { break };
-        let label = rest[..q].to_owned();
-        rest = &rest[q..];
-        let Some(v) = rest.find("\"values\":[") else {
-            break;
-        };
-        rest = &rest[v + 10..];
-        let end = rest.find([',', ']']).unwrap_or(rest.len());
-        if label.starts_with("TOTAL/") {
-            if let Ok(secs) = rest[..end].parse::<f64>() {
-                out.push((label, secs));
-            }
-        }
-    }
-    out
+    table
+        .rows
+        .into_iter()
+        .filter_map(|row| {
+            let secs = *row.values.first()?;
+            (row.label.starts_with("TOTAL/") && secs.is_finite()).then_some((row.label, secs))
+        })
+        .collect()
 }
 
 /// Runs the full 18 × 6 grid under `config`.
@@ -526,17 +517,6 @@ pub fn trace_cell(config: &SweepConfig, index: usize) -> std::io::Result<PathBuf
 
 /// Writes the failure manifest atomically (temp file + rename).
 fn write_manifest(path: &Path, failures: &[CellFailure]) -> std::io::Result<()> {
-    fn escape(s: &str) -> String {
-        s.chars()
-            .flat_map(|c| match c {
-                '"' => "\\\"".chars().collect::<Vec<_>>(),
-                '\\' => "\\\\".chars().collect(),
-                c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-                c => vec![c],
-            })
-            .collect()
-    }
-
     let mut out = String::from("{\"failures\":[");
     for (i, f) in failures.iter().enumerate() {
         if i > 0 {

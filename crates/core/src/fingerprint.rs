@@ -10,10 +10,10 @@
 //! [`cell_fingerprint`] folds exactly the result-determining fields —
 //! gating parameters, workload scale, clustered-architecture layout,
 //! issue-width override, the full benchmark spec, and the technique —
-//! through a SplitMix64-style word mixer ([`ConfigHasher`], the same
-//! finalizer the workload generator's PRNG uses, so the workspace
-//! stays dependency-free). Observe-only switches (the sanitizer, a
-//! telemetry recorder) and run-control switches (the wall-clock
+//! through a SplitMix64-style word mixer ([`ConfigHasher`], re-exported
+//! from `warped_isa::hash`, the workspace's one hash module). Observe-only
+//! switches (the sanitizer, a telemetry recorder) and run-control
+//! switches (the wall-clock
 //! watchdog, the [`CoreClock`](crate::CoreClock) backend) are
 //! deliberately **excluded**: the repository's equivalence suites pin
 //! down that they never move a cycle count, so two configurations
@@ -26,6 +26,7 @@
 
 use crate::experiment::Experiment;
 use crate::technique::Technique;
+pub use warped_isa::ConfigHasher;
 use warped_isa::UnitType;
 use warped_trace::TraceWorkload;
 use warped_workloads::BenchmarkSpec;
@@ -43,79 +44,6 @@ use warped_workloads::BenchmarkSpec;
 /// synthetic cell, and the version bump retires every v2 key rather
 /// than risking silent collisions with the enlarged space.
 pub const FINGERPRINT_VERSION: u64 = 3;
-
-const GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
-
-/// SplitMix64's avalanche finalizer (Steele et al., OOPSLA 2014).
-fn avalanche(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// A streaming word hasher with SplitMix64's finalizer as its mixing
-/// function. Not cryptographic — collision resistance here only needs
-/// to beat accidental config aliasing, the same bar the workload
-/// generator's PRNG clears.
-///
-/// # Examples
-///
-/// ```
-/// use warped_gates::fingerprint::ConfigHasher;
-///
-/// let mut a = ConfigHasher::new(7);
-/// a.word(1).word(2);
-/// let mut b = ConfigHasher::new(7);
-/// b.word(2).word(1);
-/// assert_ne!(a.finish(), b.finish(), "word order is significant");
-/// ```
-#[derive(Debug, Clone)]
-pub struct ConfigHasher {
-    state: u64,
-}
-
-impl ConfigHasher {
-    /// Starts a hash stream under a domain tag (distinct tags keep
-    /// unrelated hash uses from colliding on equal word streams).
-    #[must_use]
-    pub fn new(domain_tag: u64) -> Self {
-        ConfigHasher {
-            state: avalanche(domain_tag.wrapping_add(GAMMA)),
-        }
-    }
-
-    /// Folds one 64-bit word into the stream.
-    pub fn word(&mut self, w: u64) -> &mut Self {
-        self.state = avalanche(self.state.wrapping_add(GAMMA) ^ w);
-        self
-    }
-
-    /// Folds a float by its exact bit pattern (so `0.1` and the nearest
-    /// neighbouring double hash differently, and NaN payloads are
-    /// significant rather than collapsed).
-    pub fn f64(&mut self, v: f64) -> &mut Self {
-        self.word(v.to_bits())
-    }
-
-    /// Folds a string: length first, then the bytes in 8-byte
-    /// little-endian words (zero-padded tail), so `"ab", "c"` and
-    /// `"a", "bc"` cannot alias across adjacent fields.
-    pub fn str(&mut self, s: &str) -> &mut Self {
-        self.word(s.len() as u64);
-        for chunk in s.as_bytes().chunks(8) {
-            let mut w = [0u8; 8];
-            w[..chunk.len()].copy_from_slice(chunk);
-            self.word(u64::from_le_bytes(w));
-        }
-        self
-    }
-
-    /// The digest of everything folded so far.
-    #[must_use]
-    pub fn finish(&self) -> u64 {
-        avalanche(self.state)
-    }
-}
 
 /// The canonical content hash of one grid cell: every field that can
 /// change the cell's report, in a fixed documented order.

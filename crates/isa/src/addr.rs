@@ -12,17 +12,8 @@
 //! yields the same address, so every clock backend of the simulator
 //! observes the same stream.
 
+use crate::hash::mix64;
 use std::fmt;
-
-/// Finalizer of SplitMix64 — the same avalanche the rest of the
-/// workspace uses for seeded hashing.
-#[must_use]
-pub fn mix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
 
 /// A deterministic address-stream descriptor attached to a load/store.
 ///

@@ -35,13 +35,15 @@
 
 mod addr;
 mod builder;
+pub mod hash;
 mod instr;
 mod kernel;
 mod mix;
 mod reg;
 
-pub use addr::{mix64, AddrGen};
+pub use addr::AddrGen;
 pub use builder::KernelBuilder;
+pub use hash::{mix64, ConfigHasher};
 pub use instr::{Instruction, MemSpace, Opcode, UnitType, MAX_SRCS};
 pub use kernel::{Kernel, KernelCursor, Segment};
 pub use mix::InstructionMix;

@@ -14,7 +14,8 @@
 //!
 //! Layering, transport-independent at the core:
 //!
-//! * [`json`] — a bounded JSON value parser for request bodies.
+//! * [`json`] — the workspace's bounded JSON value parser and string
+//!   escaper, re-exported from `warped_telemetry::json`.
 //! * [`http`] — HTTP/1.1 framing (requests, responses, keep-alive
 //!   rules, chunked bodies).
 //! * [`cache`] — the sharded single-flight LRU result cache.
@@ -42,10 +43,10 @@ pub mod client;
 pub mod cluster;
 pub mod disk;
 pub mod http;
-pub mod json;
 pub mod metrics;
 pub mod server;
 pub mod service;
 
 pub use server::{spawn, ServerConfig, ServerHandle};
 pub use service::{Handled, Service, ServiceConfig};
+pub use warped_telemetry::json;

@@ -9,6 +9,8 @@
 //! controller and scheduler can stamp events with zero new dependency
 //! edges; everything that *consumes* a recording lives here:
 //!
+//! * [`json`] — the workspace's one JSON string escaper and bounded
+//!   value parser, shared by every crate that writes or reads JSON.
 //! * [`perfetto`] — renders a [`TelemetryLog`] as a deterministic
 //!   Perfetto/Chrome trace-event JSON file: one track per
 //!   execution-unit domain with busy activity and gating state lanes
@@ -55,6 +57,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod json;
 pub mod perfetto;
 pub mod rollup;
 pub mod waveform;

@@ -25,6 +25,7 @@
 //!   window counters (one sample per tuner epoch) and a `clock` thread
 //!   with one slice per fast-forward jump.
 
+use crate::json::escape;
 use warped_isa::UnitType;
 use warped_power::EnergyTimeline;
 use warped_sim::probe::{Event, TelemetryLog};
@@ -123,20 +124,6 @@ impl Trace {
         );
         self.push(pid, tid, false, ts, json);
     }
-}
-
-/// Minimal JSON string escaping (the exporter only emits ASCII names).
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// The gating state lane currently open on a domain's track.
@@ -668,10 +655,5 @@ mod tests {
         });
         let energy = EnergyTimeline::new(PowerParams::default(), DomainLayout::fermi(), 14, 20);
         let _ = render_with_energy(&rec.take(), DomainLayout::fermi(), "bad", Some(&energy));
-    }
-
-    #[test]
-    fn escape_handles_quotes_and_controls() {
-        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\u000ad");
     }
 }

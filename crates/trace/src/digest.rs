@@ -4,23 +4,16 @@
 //! a function of the trace's *content*, never its filename: two
 //! directories holding the same bytes under different names must share
 //! cache lines, and editing one byte of a trace must move every key.
-//! This module provides that digest — a SplitMix64-style word fold over
-//! the raw bytes, the same non-cryptographic mixer the rest of the
-//! workspace uses for seeded hashing, so the crate stays
-//! dependency-free.
+//! This module provides that digest — a [`ConfigHasher`] byte fold
+//! under a fixed domain tag, the workspace's one non-cryptographic
+//! mixer, so the crate stays dependency-free.
 
-const GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
-
-/// SplitMix64's avalanche finalizer (Steele et al., OOPSLA 2014).
-fn avalanche(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
+use warped_isa::ConfigHasher;
 
 /// The content digest of a byte string: length first, then the bytes in
 /// 8-byte little-endian words (zero-padded tail), folded through the
-/// SplitMix64 avalanche under a fixed domain tag.
+/// SplitMix64 avalanche under a fixed domain tag
+/// ([`ConfigHasher::bytes`]).
 ///
 /// Not cryptographic — collision resistance only needs to beat
 /// accidental aliasing between distinct checked-in traces, the same bar
@@ -38,15 +31,9 @@ fn avalanche(mut z: u64) -> u64 {
 #[must_use]
 pub fn content_digest(bytes: &[u8]) -> u64 {
     // Domain tag: b"wgtrace1" as a little-endian word.
-    let mut state = avalanche(u64::from_le_bytes(*b"wgtrace1").wrapping_add(GAMMA));
-    let fold = |w: u64, state: u64| avalanche(state.wrapping_add(GAMMA) ^ w);
-    state = fold(bytes.len() as u64, state);
-    for chunk in bytes.chunks(8) {
-        let mut w = [0u8; 8];
-        w[..chunk.len()].copy_from_slice(chunk);
-        state = fold(u64::from_le_bytes(w), state);
-    }
-    avalanche(state)
+    ConfigHasher::new(u64::from_le_bytes(*b"wgtrace1"))
+        .bytes(bytes)
+        .finish()
 }
 
 #[cfg(test)]

@@ -8,6 +8,8 @@
 //! for phase-structured kernel synthesis, and it keeps the workspace
 //! building with no network access to a package registry.
 
+use warped_isa::mix64;
+
 /// A seeded SplitMix64 generator.
 ///
 /// # Examples
@@ -34,11 +36,9 @@ impl SplitMix64 {
 
     /// The next uniform 64-bit draw.
     pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
+        let z = self.state;
+        self.state = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        mix64(z)
     }
 
     /// A uniform draw in `[0, 1)` with 53 bits of precision.
