@@ -1,11 +1,13 @@
 //! Benchmark: per-cycle cost of the scheduling policies on a synthetic
-//! ready set (the hot inner loop of the simulator).
+//! ready set (the hot inner loop of the simulator). Only `pick` is
+//! timed; each context is built beforehand.
 
-use warped_bench::timing::{bench, group};
+use warped_bench::timing::{bench_batched, group};
 use warped_gates::GatesScheduler;
 use warped_isa::UnitType;
 use warped_sim::{
-    Candidate, IssueCtx, LrrScheduler, TwoLevelScheduler, WarpScheduler, WarpSlot, NUM_DOMAINS,
+    Candidate, GtoScheduler, IssueCtx, LrrScheduler, TwoLevelScheduler, WarpScheduler, WarpSlot,
+    NUM_DOMAINS,
 };
 
 fn candidates(n: usize) -> Vec<Candidate> {
@@ -30,27 +32,17 @@ fn ctx(cands: &[Candidate]) -> IssueCtx {
     )
 }
 
+fn pick_cost(label: &str, cands: &[Candidate], mut scheduler: impl WarpScheduler) {
+    bench_batched(label, || ctx(cands), |context| scheduler.pick(context));
+}
+
 fn main() {
-    for n in [4usize, 16, 48] {
-        group(&format!("scheduler_pick, {n} candidates"));
+    for n in [4usize, 16, 48, 128] {
+        group(&format!("scheduler_pick, {n} ready slots"));
         let cands = candidates(n);
-        let mut two_level = TwoLevelScheduler::new();
-        bench("two_level", || {
-            let mut context = ctx(&cands);
-            two_level.pick(&mut context);
-            context
-        });
-        let mut lrr = LrrScheduler::new();
-        bench("lrr", || {
-            let mut context = ctx(&cands);
-            lrr.pick(&mut context);
-            context
-        });
-        let mut gates = GatesScheduler::new();
-        bench("gates", || {
-            let mut context = ctx(&cands);
-            gates.pick(&mut context);
-            context
-        });
+        pick_cost("two_level", &cands, TwoLevelScheduler::new());
+        pick_cost("lrr", &cands, LrrScheduler::new());
+        pick_cost("gto", &cands, GtoScheduler::new());
+        pick_cost("gates", &cands, GatesScheduler::new());
     }
 }

@@ -50,6 +50,44 @@ pub fn bench<T>(label: &str, mut f: impl FnMut() -> T) -> Duration {
     median
 }
 
+/// Inputs built per timed batch by [`bench_batched`].
+const BATCH: usize = 64;
+
+/// Like [`bench`], but times only `routine`: each input comes from
+/// `setup`, built in batches of [`BATCH`] outside the timed region, and
+/// `routine` runs once per input. Use it when building the input costs
+/// as much as the work being measured.
+pub fn bench_batched<S, T>(
+    label: &str,
+    mut setup: impl FnMut() -> S,
+    mut routine: impl FnMut(&mut S) -> T,
+) -> Duration {
+    let mut run = |batches: u64| {
+        let mut timed = Duration::ZERO;
+        for _ in 0..batches {
+            let mut inputs: Vec<S> = (0..BATCH).map(|_| setup()).collect();
+            let start = Instant::now();
+            for input in &mut inputs {
+                std::hint::black_box(routine(input));
+            }
+            timed += start.elapsed();
+        }
+        timed
+    };
+    let mut batches = 1u64;
+    while run(batches) < MIN_SAMPLE {
+        batches = batches.saturating_mul(2);
+    }
+    let iters = batches * BATCH as u64;
+    let mut per_iter: Vec<Duration> = (0..SAMPLES)
+        .map(|_| run(batches) / u32::try_from(iters).unwrap_or(u32::MAX))
+        .collect();
+    per_iter.sort();
+    let median = per_iter[SAMPLES / 2];
+    println!("{label:<42} {median:>12.2?} per iter ({iters} iters x {SAMPLES} samples)");
+    median
+}
+
 /// Prints a bench-group heading.
 pub fn group(title: &str) {
     println!("\n-- {title} --");
@@ -94,6 +132,20 @@ mod tests {
             }
             acc
         });
+        assert!(d > Duration::ZERO);
+    }
+
+    #[test]
+    fn bench_batched_runs_the_routine_on_fresh_inputs() {
+        let d = bench_batched(
+            "sum",
+            || vec![3u64; 1000],
+            |v| {
+                let s: u64 = v.iter().sum();
+                v.clear();
+                s
+            },
+        );
         assert!(d > Duration::ZERO);
     }
 }

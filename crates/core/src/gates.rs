@@ -2,7 +2,7 @@
 
 use warped_isa::UnitType;
 use warped_sim::probe::{Event, Recorder};
-use warped_sim::{IssueCtx, WarpScheduler};
+use warped_sim::{round_robin, IssueCtx, WarpScheduler};
 
 /// The gating-aware two-level scheduler.
 ///
@@ -51,9 +51,6 @@ pub struct GatesScheduler {
     lazy_wake: u32,
     /// Ready-warp backlog that counts as wakeup demand by itself.
     wake_backlog: u32,
-    /// Reusable buffer for the per-type round-robin scan (no scheduling
-    /// state: always drained by the end of a `pick`).
-    scan: Vec<u32>,
     /// Telemetry recorder (installed by the simulator when
     /// [`SmConfig::telemetry`](warped_sim::SmConfig) is armed); every
     /// dynamic priority flip is stamped on it. Strictly observe-only.
@@ -83,7 +80,6 @@ impl GatesScheduler {
             starve_run: 0,
             lazy_wake: Self::DEFAULT_LAZY_WAKE_CYCLES,
             wake_backlog: Self::DEFAULT_WAKE_BACKLOG,
-            scan: Vec::new(),
             recorder: None,
         }
     }
@@ -174,32 +170,20 @@ impl GatesScheduler {
         }
     }
 
-    /// Issues ready candidates of `unit`, round-robin within the type.
+    /// Issues ready warps of `unit`, round-robin within the type.
     fn issue_type(&mut self, ctx: &mut IssueCtx, unit: UnitType) {
         if ctx.width_left() == 0 || ctx.ready_count(unit) == 0 {
             return;
         }
-        // The context precomputes each type's candidate positions; the
-        // reusable scan buffer (this runs up to four times per simulated
-        // cycle) sidesteps borrowing the context across `try_issue`.
-        let mut idxs = std::mem::take(&mut self.scan);
-        idxs.clear();
-        idxs.extend_from_slice(ctx.unit_candidates(unit));
-        let rot = self.rotation[unit.index()];
-        let start = idxs
-            .iter()
-            .position(|&i| ctx.candidates()[i as usize].slot.0 >= rot)
-            .unwrap_or(0);
-        for &i in idxs[start..].iter().chain(&idxs[..start]) {
+        let u = unit.index();
+        for slot in round_robin(ctx.ready_of(unit), self.rotation[u]) {
             if ctx.width_left() == 0 {
                 break;
             }
-            let idx = i as usize;
-            if ctx.try_issue(idx) {
-                self.rotation[unit.index()] = ctx.candidates()[idx].slot.0 + 1;
+            if ctx.try_issue(slot) {
+                self.rotation[u] = slot + 1;
             }
         }
-        self.scan = idxs;
     }
 }
 
@@ -262,7 +246,7 @@ impl WarpScheduler for GatesScheduler {
         }
     }
 
-    // With no candidates and empty active subsets, `pick` cannot switch
+    // With no ready warps and empty active subsets, `pick` cannot switch
     // priority (every rule needs a non-empty low subset), issues nothing,
     // and hits the `ready_count(low) == 0` early return. Per cycle that
     // leaves exactly `hold_cycles += 1; starve_run = 0`, which composes

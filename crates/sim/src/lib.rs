@@ -85,7 +85,8 @@ pub use mem::{LoadIssue, MemorySubsystem};
 pub use probe::{Event, Recorder, RecorderConfig, Stamped, TelemetryChunk, TelemetryLog};
 pub use sanitize::{GatingInvariants, Sanitizer};
 pub use sched::{
-    Candidate, GtoScheduler, IssueCtx, LrrScheduler, TwoLevelScheduler, WarpScheduler,
+    round_robin, Candidate, GtoScheduler, IssueCtx, LrrScheduler, RoundRobin, TwoLevelScheduler,
+    WarpScheduler,
 };
 pub use scoreboard::Scoreboard;
 pub use sm::{Sm, SmOutcome};

@@ -1,7 +1,7 @@
 //! Greedy-then-oldest scheduler (the other widely used GPGPU-Sim
 //! baseline).
 
-use super::{IssueCtx, WarpScheduler};
+use super::{round_robin, IssueCtx, WarpScheduler};
 
 /// Greedy-then-oldest (GTO): keep issuing from the same warp as long as
 /// it stays ready, otherwise fall back to the oldest ready warp.
@@ -28,30 +28,26 @@ impl GtoScheduler {
 
 impl WarpScheduler for GtoScheduler {
     fn pick(&mut self, ctx: &mut IssueCtx) {
-        let n = ctx.candidates().len();
-        if n == 0 {
-            return;
-        }
         // First preference: the greedy warp, if it is still ready.
         if let Some(slot) = self.greedy_slot {
-            if let Some(idx) = ctx.candidates().iter().position(|c| c.slot.0 == slot) {
-                let _ = ctx.try_issue(idx);
+            if ctx.ready() >> slot & 1 == 1 {
+                let _ = ctx.try_issue(slot);
             }
         }
         // Fill remaining width oldest-first (slot order approximates
         // age: lower slots were launched earlier within a wave).
-        for idx in 0..n {
+        for slot in round_robin(ctx.ready(), 0) {
             if ctx.width_left() == 0 {
                 break;
             }
-            if ctx.try_issue(idx) {
-                self.greedy_slot = Some(ctx.candidates()[idx].slot.0);
+            if ctx.try_issue(slot) {
+                self.greedy_slot = Some(slot);
             }
         }
     }
 
     fn fast_forward_idle(&mut self, _cycles: u64) -> bool {
-        // An empty candidate list leaves the greedy slot alone.
+        // An empty ready set leaves the greedy slot alone.
         true
     }
 
@@ -75,9 +71,9 @@ mod tests {
             cand(9, UnitType::Int),
         ]);
         s.pick(&mut ctx);
-        assert!(ctx.is_issued(0));
-        assert!(ctx.is_issued(1));
-        assert!(!ctx.is_issued(2));
+        assert!(ctx.is_issued(3));
+        assert!(ctx.is_issued(7));
+        assert!(!ctx.is_issued(9));
     }
 
     #[test]
@@ -89,8 +85,8 @@ mod tests {
         // preferred over the older slot 5.
         let mut ctx2 = ctx_with(vec![cand(5, UnitType::Sfu), cand(6, UnitType::Int)]);
         s.pick(&mut ctx2);
-        assert!(ctx2.is_issued(1), "greedy warp issues first");
-        assert!(ctx2.is_issued(0), "remaining width falls back to oldest");
+        assert!(ctx2.is_issued(6), "greedy warp issues first");
+        assert!(ctx2.is_issued(5), "remaining width falls back to oldest");
     }
 
     #[test]
@@ -101,7 +97,7 @@ mod tests {
         // Slot 5 no longer ready.
         let mut ctx2 = ctx_with(vec![cand(8, UnitType::Fp)]);
         s.pick(&mut ctx2);
-        assert!(ctx2.is_issued(0));
+        assert!(ctx2.is_issued(8));
     }
 
     #[test]

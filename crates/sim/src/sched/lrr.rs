@@ -1,6 +1,6 @@
 //! Loose round-robin scheduler (pre-two-level reference baseline).
 
-use super::{IssueCtx, WarpScheduler};
+use super::{round_robin, IssueCtx, WarpScheduler};
 
 /// Loose round-robin: every cycle, scan the ready warps starting one past
 /// the slot that issued first last cycle, issuing greedily without regard
@@ -26,25 +26,14 @@ impl LrrScheduler {
 
 impl WarpScheduler for LrrScheduler {
     fn pick(&mut self, ctx: &mut IssueCtx) {
-        let n = ctx.candidates().len();
-        if n == 0 {
-            return;
-        }
-        // Start scanning at the first candidate whose slot is >= the
-        // rotation pointer, wrapping around.
-        let start = ctx
-            .candidates()
-            .iter()
-            .position(|c| c.slot.0 >= self.next_slot)
-            .unwrap_or(0);
+        // Scan from the rotation pointer, wrapping around.
         let mut first_issued_slot = None;
-        for k in 0..n {
+        for slot in round_robin(ctx.ready(), self.next_slot) {
             if ctx.width_left() == 0 {
                 break;
             }
-            let idx = (start + k) % n;
-            if ctx.try_issue(idx) && first_issued_slot.is_none() {
-                first_issued_slot = Some(ctx.candidates()[idx].slot.0);
+            if ctx.try_issue(slot) && first_issued_slot.is_none() {
+                first_issued_slot = Some(slot);
             }
         }
         if let Some(s) = first_issued_slot {
@@ -53,7 +42,7 @@ impl WarpScheduler for LrrScheduler {
     }
 
     fn fast_forward_idle(&mut self, _cycles: u64) -> bool {
-        // An empty candidate list leaves the rotation pointer alone.
+        // An empty ready set leaves the rotation pointer alone.
         true
     }
 
@@ -92,7 +81,7 @@ mod tests {
         s.pick(&mut ctx2);
         // Slot 5 should be tried first this time; both still issue.
         assert!(ctx2.is_issued(0));
-        assert!(ctx2.is_issued(1));
+        assert!(ctx2.is_issued(5));
     }
 
     #[test]

@@ -1,12 +1,13 @@
 //! The warp scheduling framework.
 //!
-//! Every cycle the SM builds an [`IssueCtx`] — a snapshot of the ready
-//! warps, port availability, power-gating state, and per-type
-//! active-subset occupancy — and hands it to the installed
-//! [`WarpScheduler`]. The scheduler expresses *priority order* by calling
-//! [`IssueCtx::try_issue`]; the context enforces the hard constraints
-//! (issue width, dispatch ports, gated clusters, MSHR capacity), so no
-//! scheduler implementation can violate them.
+//! Every cycle the SM rearms one long-lived [`IssueCtx`] — the ready
+//! warps as per-unit slot bitmaps, port availability, power-gating
+//! state, and per-type active-subset occupancy — and hands it to the
+//! installed [`WarpScheduler`]. The scheduler expresses *priority
+//! order* by calling [`IssueCtx::try_issue`] on slots; the context
+//! enforces the hard constraints (issue width, dispatch ports, gated
+//! clusters, MSHR capacity), so no scheduler implementation can violate
+//! them.
 
 mod gto;
 mod lrr;
@@ -21,12 +22,16 @@ use crate::exec::IssuePorts;
 use crate::warp::WarpSlot;
 use warped_isa::UnitType;
 
-/// A ready warp visible to the scheduler this cycle.
+/// Resident-warp slots a slot bitmap covers (one `u128` bit each).
+pub(crate) const SLOTS: usize = 128;
+
+/// A ready warp, as handed to [`IssueCtx::new`] when building a context
+/// by hand.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Candidate {
-    /// Which resident-warp slot this candidate occupies.
+    /// Which resident-warp slot the warp occupies.
     pub slot: WarpSlot,
-    /// The execution unit the candidate's next instruction needs.
+    /// The execution unit the warp's next instruction needs.
     pub unit: UnitType,
     /// Whether the next instruction is a global load (needs an MSHR slot).
     pub is_global_load: bool,
@@ -39,27 +44,85 @@ pub(crate) struct Pick {
     pub domain: DomainId,
 }
 
+/// The set slots of a slot bitmap in round-robin order: ascending from
+/// slot `from`, then wrapping to slot 0. `from` may be one past the top
+/// slot (a pointer left at `last + 1`); the walk then starts at slot 0.
+///
+/// Rotating the bitmap so `from` lands on bit 0 turns the wrap into a
+/// plain `trailing_zeros` walk — no shift ever reaches 128.
+///
+/// # Examples
+///
+/// ```
+/// use warped_sim::round_robin;
+///
+/// let bits = 1u128 | 1 << 5 | 1 << 127;
+/// assert_eq!(round_robin(bits, 5).collect::<Vec<_>>(), [5, 127, 0]);
+/// assert_eq!(round_robin(bits, 128).collect::<Vec<_>>(), [0, 5, 127]);
+/// ```
+#[must_use]
+pub fn round_robin(bits: u128, from: usize) -> RoundRobin {
+    let base = (from % SLOTS) as u32;
+    RoundRobin {
+        rest: bits.rotate_right(base),
+        base,
+    }
+}
+
+/// Iterator returned by [`round_robin`].
+#[derive(Debug, Clone)]
+pub struct RoundRobin {
+    /// The not-yet-visited slots, rotated right by `base`.
+    rest: u128,
+    base: u32,
+}
+
+impl Iterator for RoundRobin {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        if self.rest == 0 {
+            return None;
+        }
+        let k = self.rest.trailing_zeros();
+        self.rest &= self.rest - 1;
+        Some(((k + self.base) as usize) % SLOTS)
+    }
+}
+
 /// The per-cycle issue context handed to [`WarpScheduler::pick`].
 ///
 /// See the crate documentation for the scheduling protocol: the
 /// context enforces issue width, dispatch ports, gating, and MSHR
 /// capacity; schedulers only express priority order.
 ///
-/// The SM keeps one context alive across its whole run and rearms it
-/// with [`reset_for_cycle`](IssueCtx::reset_for_cycle), so the
-/// candidate list, per-unit indices, issued bitmap, and pick list are
-/// allocated once per simulation instead of once per cycle — and the
-/// context itself never moves.
+/// Ready warps are keyed by slot: [`ready_of`](IssueCtx::ready_of)
+/// holds one bitmap per unit type, and schedulers walk them in slot
+/// order (see [`round_robin`]). The SM keeps one context alive across
+/// its whole run and updates those bitmaps only when a warp's
+/// classification changes, then rearms the per-cycle state with
+/// [`reset_for_cycle`](IssueCtx::reset_for_cycle) — no per-cycle
+/// rebuild of the ready set.
 #[derive(Debug)]
 pub struct IssueCtx {
     cycle: u64,
     issue_width: usize,
     layout: DomainLayout,
-    /// Ready warps this cycle, in slot order. Maintained *across*
-    /// cycles by the owner (the SM rebuilds it only when warp
-    /// membership or next-instruction metadata changed).
-    pub(crate) candidates: Vec<Candidate>,
-    issued: Vec<bool>,
+    /// Ready slots by the unit their next instruction needs. Maintained
+    /// *across* cycles by the owner ([`IssueCtx::set_ready`] and
+    /// [`IssueCtx::clear_ready`]); fixed within a cycle.
+    ready_of: [u128; 4],
+    /// Ready slots whose next instruction is a global load.
+    ready_loads: u128,
+    /// The unit of each ready slot's next instruction (meaningful only
+    /// where a `ready_of` bit is set).
+    unit_of: [UnitType; SLOTS],
+    /// Per-unit population of `ready_of`, kept with the bitmaps.
+    ready_counts: [u32; 4],
+    /// Ready slots issued this cycle.
+    issued: u128,
+    /// Index of the first cluster SP steering probes this cycle.
+    sp_start: usize,
     domain_on: [bool; crate::domain::NUM_DOMAINS],
     domain_busy: [bool; crate::domain::NUM_DOMAINS],
     active_subset: [u32; 4],
@@ -69,17 +132,9 @@ pub struct IssueCtx {
     /// [`WarpScheduler::pick`] returns.
     pub(crate) picks: Vec<Pick>,
     attempted_blocked: [u32; 4],
-    ready_by_unit: [u32; 4],
-    /// By-unit tally of `candidates`, maintained by whoever owns the
-    /// list (issues decrement the working copy `ready_by_unit`; the
-    /// reset restores it from here, so the tally survives the cycle
-    /// without a per-cycle recount).
-    pub(crate) ready_base: [u32; 4],
-    /// Positions into `candidates` grouped by unit type, in list order —
-    /// maintained alongside the list, so per-type schedulers (GATES)
-    /// iterate their type directly instead of filtering the full list
-    /// once per type per cycle.
-    pub(crate) unit_idx: [Vec<u32>; 4],
+    /// Ready but not yet issued slots per unit: `ready_counts` at the
+    /// start of the cycle, decremented by each issue.
+    ready_left: [u32; 4],
     /// Units proven unissuable for the rest of the cycle with every
     /// cluster powered. Within a cycle `domain_on` is fixed and ports
     /// are only ever claimed, so once [`IssueCtx::try_issue`] fails for
@@ -92,10 +147,16 @@ pub struct IssueCtx {
 impl IssueCtx {
     /// Builds an issue context from an explicit snapshot.
     ///
-    /// The simulator builds one per cycle; exposing the constructor lets
-    /// downstream crates unit-test custom [`WarpScheduler`]
-    /// implementations against hand-crafted situations (specific gating
-    /// states, candidate sets, and active-subset counts).
+    /// The simulator keeps one context for a whole run; exposing the
+    /// constructor lets downstream crates unit-test custom
+    /// [`WarpScheduler`] implementations against hand-crafted
+    /// situations (specific gating states, ready sets, and
+    /// active-subset counts).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a candidate's slot is 128 or more, or if two
+    /// candidates share a slot.
     #[allow(clippy::too_many_arguments)]
     #[must_use]
     pub fn new(
@@ -121,6 +182,10 @@ impl IssueCtx {
 
     /// [`IssueCtx::new`] for an explicit clustered-architecture layout
     /// (Kepler-like studies).
+    ///
+    /// # Panics
+    ///
+    /// As [`IssueCtx::new`].
     #[allow(clippy::too_many_arguments)]
     #[must_use]
     pub fn with_layout(
@@ -134,11 +199,15 @@ impl IssueCtx {
         ldst_load_credits: u32,
     ) -> Self {
         let mut ctx = Self::persistent(layout, issue_width);
-        for (i, c) in candidates.iter().enumerate() {
-            ctx.ready_base[c.unit.index()] += 1;
-            ctx.unit_idx[c.unit.index()].push(i as u32);
+        for c in candidates {
+            let slot = c.slot.0;
+            assert!(slot < SLOTS, "candidate slot {slot} out of range");
+            assert!(
+                ctx.ready() >> slot & 1 == 0,
+                "two candidates share slot {slot}"
+            );
+            ctx.set_ready(slot, c.unit, c.is_global_load);
         }
-        ctx.candidates = candidates;
         ctx.reset_for_cycle(
             cycle,
             domain_on,
@@ -149,34 +218,67 @@ impl IssueCtx {
         ctx
     }
 
-    /// An empty long-lived context. The owner fills `candidates` (with
-    /// `unit_idx` and `ready_base` kept in step) and rearms it each
-    /// cycle with [`reset_for_cycle`](IssueCtx::reset_for_cycle).
+    /// An empty long-lived context. The owner keeps the ready bitmaps
+    /// current with [`set_ready`](IssueCtx::set_ready) and
+    /// [`clear_ready`](IssueCtx::clear_ready) and rearms it each cycle
+    /// with [`reset_for_cycle`](IssueCtx::reset_for_cycle).
     pub(crate) fn persistent(layout: DomainLayout, issue_width: usize) -> Self {
         IssueCtx {
             cycle: 0,
             issue_width,
             layout,
-            candidates: Vec::new(),
-            issued: Vec::new(),
+            ready_of: [0; 4],
+            ready_loads: 0,
+            unit_of: [UnitType::Int; SLOTS],
+            ready_counts: [0; 4],
+            issued: 0,
+            sp_start: 0,
             domain_on: [false; crate::domain::NUM_DOMAINS],
             domain_busy: [false; crate::domain::NUM_DOMAINS],
             active_subset: [0; 4],
             ldst_load_credits: 0,
             ports: IssuePorts::default(),
-            picks: Vec::new(),
+            picks: Vec::with_capacity(issue_width),
             attempted_blocked: [0; 4],
-            ready_by_unit: [0; 4],
-            ready_base: [0; 4],
-            unit_idx: Default::default(),
+            ready_left: [0; 4],
             dead_units: [false; 4],
         }
     }
 
-    /// Rearms the context for a new cycle in place: the candidate list,
-    /// per-unit indices, and tally stay as the owner maintains them;
-    /// everything per-cycle (issued bitmap, picks, ports, demand,
-    /// working tally, gating/busy/credit snapshot) resets.
+    /// Marks `slot` ready with a next instruction of `unit`. The slot
+    /// must not be ready already.
+    pub(crate) fn set_ready(&mut self, slot: usize, unit: UnitType, is_global_load: bool) {
+        let bit = 1u128 << slot;
+        debug_assert_eq!(self.ready() & bit, 0, "slot {slot} is already ready");
+        self.ready_of[unit.index()] |= bit;
+        if is_global_load {
+            self.ready_loads |= bit;
+        }
+        self.unit_of[slot] = unit;
+        self.ready_counts[unit.index()] += 1;
+    }
+
+    /// Removes `slot` from the ready set; a no-op if it is not ready.
+    pub(crate) fn clear_ready(&mut self, slot: usize) {
+        let bit = 1u128 << slot;
+        let u = self.unit_of[slot].index();
+        if self.ready_of[u] & bit != 0 {
+            self.ready_of[u] &= !bit;
+            self.ready_loads &= !bit;
+            self.ready_counts[u] -= 1;
+        }
+    }
+
+    /// The unit of ready slot `slot`'s next instruction and whether it
+    /// is a global load (sanitizer cross-checks).
+    pub(crate) fn ready_meta(&self, slot: usize) -> (UnitType, bool) {
+        (self.unit_of[slot], self.ready_loads >> slot & 1 == 1)
+    }
+
+    /// Rearms the context for a new cycle in place: the ready bitmaps
+    /// stay as the owner maintains them; everything per-cycle (issued
+    /// bitmap, picks, ports, demand, working tally, steering start,
+    /// gating/busy/credit snapshot) resets.
     pub(crate) fn reset_for_cycle(
         &mut self,
         cycle: u64,
@@ -193,16 +295,9 @@ impl IssueCtx {
         self.ports = IssuePorts::default();
         self.attempted_blocked = [0; 4];
         self.dead_units = [false; 4];
-        self.ready_by_unit = self.ready_base;
-        debug_assert_eq!(self.ready_base, {
-            let mut tally = [0u32; 4];
-            for c in &self.candidates {
-                tally[c.unit.index()] += 1;
-            }
-            tally
-        });
-        self.issued.clear();
-        self.issued.resize(self.candidates.len(), false);
+        self.ready_left = self.ready_counts;
+        self.issued = 0;
+        self.sp_start = (cycle % self.layout.sp_clusters() as u64) as usize;
         self.picks.clear();
     }
 
@@ -212,25 +307,31 @@ impl IssueCtx {
         self.cycle
     }
 
-    /// Ready warps this cycle, in slot order.
+    /// Slots holding a ready warp this cycle (bit `i` = slot `i`),
+    /// issued ones included.
     #[must_use]
-    pub fn candidates(&self) -> &[Candidate] {
-        &self.candidates
+    pub fn ready(&self) -> u128 {
+        self.ready_of[0] | self.ready_of[1] | self.ready_of[2] | self.ready_of[3]
     }
 
-    /// Positions into [`candidates`](IssueCtx::candidates) of `unit`'s
-    /// candidates, in list (ascending slot) order — exactly the indices
-    /// a filter over the full list would yield, precomputed so a
-    /// per-type scheduler pass does not rescan every other type.
+    /// Slots holding a ready warp whose next instruction needs `unit`,
+    /// issued ones included.
     #[must_use]
-    pub fn unit_candidates(&self, unit: UnitType) -> &[u32] {
-        &self.unit_idx[unit.index()]
+    pub fn ready_of(&self, unit: UnitType) -> u128 {
+        self.ready_of[unit.index()]
     }
 
-    /// Whether the candidate at `idx` has already been issued this cycle.
+    /// Slots issued so far this cycle (a subset of
+    /// [`ready`](IssueCtx::ready)).
     #[must_use]
-    pub fn is_issued(&self, idx: usize) -> bool {
-        self.issued[idx]
+    pub fn issued(&self) -> u128 {
+        self.issued
+    }
+
+    /// Whether the warp in `slot` has already been issued this cycle.
+    #[must_use]
+    pub fn is_issued(&self, slot: usize) -> bool {
+        slot < SLOTS && self.issued >> slot & 1 == 1
     }
 
     /// Remaining issue slots this cycle.
@@ -246,12 +347,12 @@ impl IssueCtx {
         self.active_subset[unit.index()]
     }
 
-    /// Number of *ready* candidates of `unit` not yet issued
+    /// Number of *ready* warps of `unit` not yet issued
     /// (the paper's `INT_RDY` / `FP_RDY` / `SFU_RDY` / `LDST_RDY`
     /// counters).
     #[must_use]
     pub fn ready_count(&self, unit: UnitType) -> u32 {
-        self.ready_by_unit[unit.index()]
+        self.ready_left[unit.index()]
     }
 
     /// Whether at least one cluster of `unit` is powered on (regardless of
@@ -265,19 +366,6 @@ impl IssueCtx {
             .any(|d| self.domain_on[d.index()])
     }
 
-    /// Whether an instruction of `unit` could issue right now (an
-    /// on-domain with a free port, and — for global loads — MSHR space).
-    #[must_use]
-    pub fn can_accept(&self, unit: UnitType, is_global_load: bool) -> bool {
-        if self.width_left() == 0 {
-            return false;
-        }
-        if is_global_load && self.ldst_load_credits == 0 {
-            return false;
-        }
-        self.accepting_domain(unit).is_some()
-    }
-
     /// The domain an instruction of `unit` would dispatch to, if any.
     ///
     /// Cluster steering load-balances: the preferred cluster alternates
@@ -285,18 +373,16 @@ impl IssueCtx {
     /// the SP clusters. (Deliberately *not* packed into one cluster —
     /// that would let the peer cluster sleep forever and hand every
     /// gating scheme the same free savings, erasing the differences the
-    /// paper measures.)
+    /// paper measures.) SFU and LDST have one domain each, so only the
+    /// SP types rotate; their start is computed once per cycle.
     fn accepting_domain(&self, unit: UnitType) -> Option<DomainId> {
         let domains = self.layout.domains_of(unit);
-        let n = domains.len();
-        let start = (self.cycle as usize) % n;
-        for k in 0..n {
-            let d = domains[(start + k) % n];
-            if self.domain_on[d.index()] && self.ports.port_free(d) {
-                return Some(d);
-            }
-        }
-        None
+        let start = if domains.len() == 1 { 0 } else { self.sp_start };
+        domains[start..]
+            .iter()
+            .chain(&domains[..start])
+            .copied()
+            .find(|&d| self.domain_on[d.index()] && self.ports.port_free(d))
     }
 
     /// Registers wakeup demand for `unit` without an issue attempt.
@@ -317,29 +403,35 @@ impl IssueCtx {
         }
     }
 
-    /// Attempts to issue the candidate at `idx`.
+    /// Attempts to issue the ready warp in `slot`.
     ///
     /// Returns `true` on success. Fails (returning `false`) when the
-    /// candidate was already issued, the issue width is exhausted, no
+    /// warp was already issued, the issue width is exhausted, no
     /// powered cluster with a free dispatch port exists for its unit, or a
     /// global load finds no MSHR space.
     ///
     /// # Panics
     ///
-    /// Panics if `idx` is out of bounds.
-    pub fn try_issue(&mut self, idx: usize) -> bool {
-        assert!(idx < self.candidates.len(), "candidate index out of range");
-        if self.issued[idx] || self.width_left() == 0 {
+    /// Panics if `slot` holds no ready warp (not in
+    /// [`ready`](IssueCtx::ready)): there is no instruction to issue.
+    pub fn try_issue(&mut self, slot: usize) -> bool {
+        assert!(
+            slot < SLOTS && self.ready() >> slot & 1 == 1,
+            "try_issue: slot {slot} holds no ready warp"
+        );
+        let bit = 1u128 << slot;
+        if self.issued & bit != 0 || self.width_left() == 0 {
             return false;
         }
-        let cand = self.candidates[idx];
-        if self.dead_units[cand.unit.index()] {
+        let unit = self.unit_of[slot];
+        if self.dead_units[unit.index()] {
             return false;
         }
-        if cand.is_global_load && self.ldst_load_credits == 0 {
+        let is_global_load = self.ready_loads & bit != 0;
+        if is_global_load && self.ldst_load_credits == 0 {
             return false;
         }
-        let Some(domain) = self.accepting_domain(cand.unit) else {
+        let Some(domain) = self.accepting_domain(unit) else {
             // The attempt found nowhere to go. If a gated or waking
             // cluster of this type exists, the failed attempt is wakeup
             // demand (the paper's "ready instruction scheduled" edge):
@@ -350,29 +442,29 @@ impl IssueCtx {
             // race) and wakes nothing.
             let any_gated = self
                 .layout
-                .domains_of(cand.unit)
+                .domains_of(unit)
                 .iter()
                 .any(|d| !self.domain_on[d.index()]);
             if any_gated {
-                self.attempted_blocked[cand.unit.index()] += 1;
+                self.attempted_blocked[unit.index()] += 1;
             } else {
                 // Fully powered yet nowhere to dispatch: the failure is
                 // structural and permanent for this cycle.
-                self.dead_units[cand.unit.index()] = true;
+                self.dead_units[unit.index()] = true;
             }
             return false;
         };
         self.ports.claim(domain);
-        self.issued[idx] = true;
-        self.ready_by_unit[cand.unit.index()] -= 1;
-        if cand.is_global_load {
+        self.issued |= bit;
+        self.ready_left[unit.index()] -= 1;
+        if is_global_load {
             self.ldst_load_credits -= 1;
         }
         // An issue makes the target pipeline busy; later steering in the
         // same cycle should see it as such.
         self.domain_busy[domain.index()] = true;
         self.picks.push(Pick {
-            slot: cand.slot,
+            slot: WarpSlot(slot),
             domain,
         });
         true
@@ -384,9 +476,9 @@ impl IssueCtx {
     ///
     /// Demand is scheduler-driven: only a [`try_issue`] call on a
     /// fully-gated type registers (the paper's "ready instruction
-    /// scheduled" wakeup edge). A ready candidate the scheduler chose
+    /// scheduled" wakeup edge). A ready warp the scheduler chose
     /// not to attempt — e.g. GATES holding back the demoted instruction
-    /// type — wakes nothing. A candidate that merely lost a port race
+    /// type — wakes nothing. A warp that merely lost a port race
     /// while a powered cluster of its type exists also creates no
     /// demand: dispatch steers instructions to the awake cluster, so
     /// waking the peer for a one-cycle burst would thrash it.
@@ -421,7 +513,7 @@ pub trait WarpScheduler {
     fn pick(&mut self, ctx: &mut IssueCtx);
 
     /// Advances scheduler state across `cycles` consecutive cycles in
-    /// which the candidate list and every active subset are empty,
+    /// which the ready set and every active subset are empty,
     /// returning whether the scheduler supports this.
     ///
     /// When the SM fast-forwards its clock through a stall region it
@@ -609,7 +701,6 @@ mod tests {
             [0; 4],
             0,
         );
-        assert!(!ctx.can_accept(UnitType::Ldst, true));
         assert!(!ctx.try_issue(0));
         // MSHR exhaustion is a structural stall, not gating demand.
         let (_, demand, _) = ctx.into_picks();
@@ -651,5 +742,59 @@ mod tests {
         assert!(ctx.try_issue(0));
         assert!(!ctx.try_issue(0));
         assert!(ctx.is_issued(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "slot 3 holds no ready warp")]
+    fn issuing_a_slot_without_a_ready_warp_panics() {
+        let mut ctx = ctx_with(vec![cand(2, UnitType::Int), cand(4, UnitType::Fp)]);
+        let _ = ctx.try_issue(3);
+    }
+
+    #[test]
+    #[should_panic(expected = "slot 128 holds no ready warp")]
+    fn issuing_past_the_top_slot_panics() {
+        let mut ctx = ctx_with(vec![cand(127, UnitType::Int)]);
+        let _ = ctx.try_issue(128);
+    }
+
+    #[test]
+    fn ready_bitmaps_are_keyed_by_slot_and_unit() {
+        let mut ctx = ctx_with(vec![
+            cand(1, UnitType::Int),
+            cand(6, UnitType::Fp),
+            cand(127, UnitType::Int),
+        ]);
+        assert_eq!(ctx.ready(), 1 << 1 | 1 << 6 | 1 << 127);
+        assert_eq!(ctx.ready_of(UnitType::Int), 1 << 1 | 1 << 127);
+        assert_eq!(ctx.ready_of(UnitType::Fp), 1 << 6);
+        assert!(ctx.try_issue(127));
+        assert_eq!(ctx.issued(), 1 << 127);
+        assert!(ctx.is_issued(127) && !ctx.is_issued(1) && !ctx.is_issued(200));
+    }
+
+    #[test]
+    fn clearing_a_slot_restores_the_tally() {
+        let mut ctx = ctx_with(vec![cand(3, UnitType::Ldst)]);
+        ctx.clear_ready(3);
+        ctx.clear_ready(3);
+        ctx.clear_ready(9);
+        assert_eq!(ctx.ready(), 0);
+        ctx.set_ready(3, UnitType::Fp, false);
+        ctx.reset_for_cycle(0, [true; NUM_DOMAINS], [false; NUM_DOMAINS], [0; 4], 0);
+        assert_eq!(ctx.ready_count(UnitType::Ldst), 0);
+        assert_eq!(ctx.ready_count(UnitType::Fp), 1);
+    }
+
+    #[test]
+    fn round_robin_wraps_at_every_pointer() {
+        let bits = 1u128 | 1 << 5 | 1 << 64 | 1 << 127;
+        let walk = |from| round_robin(bits, from).collect::<Vec<_>>();
+        assert_eq!(walk(0), [0, 5, 64, 127]);
+        assert_eq!(walk(6), [64, 127, 0, 5]);
+        assert_eq!(walk(127), [127, 0, 5, 64]);
+        assert_eq!(walk(128), [0, 5, 64, 127]);
+        assert_eq!(round_robin(0, 17).next(), None);
+        assert_eq!(round_robin(u128::MAX, 128).count(), 128);
     }
 }

@@ -1,14 +1,14 @@
 //! The two-level warp scheduler of Gebhart et al. — the paper's baseline.
 
-use super::{IssueCtx, WarpScheduler};
+use super::{round_robin, IssueCtx, WarpScheduler};
 
 /// The two-level warp scheduler (Gebhart et al., ISCA 2011), as used for
 /// the baseline in the Warped Gates paper.
 ///
 /// The *two levels* — a pending set for warps stalled on long-latency
 /// loads and an active set for the rest — are modelled by the simulator
-/// itself: the candidate list handed to any scheduler already contains
-/// only ready warps from the active set. What distinguishes this policy
+/// itself: the ready set handed to any scheduler already contains only
+/// ready warps from the active set. What distinguishes this policy
 /// is its greedy, type-oblivious selection: it round-robins over the
 /// ready warps of the active set and issues the first ones it finds,
 /// freely interspersing INT and FP instructions. That interspersing is
@@ -29,32 +29,20 @@ impl TwoLevelScheduler {
 
 impl WarpScheduler for TwoLevelScheduler {
     fn pick(&mut self, ctx: &mut IssueCtx) {
-        let n = ctx.candidates().len();
-        if n == 0 {
-            return;
-        }
         // Continue round-robin from just after the last warp that issued.
-        let start = match self.last_slot {
-            None => 0,
-            Some(last) => ctx
-                .candidates()
-                .iter()
-                .position(|c| c.slot.0 > last)
-                .unwrap_or(0),
-        };
-        for k in 0..n {
+        let from = self.last_slot.map_or(0, |last| last + 1);
+        for slot in round_robin(ctx.ready(), from) {
             if ctx.width_left() == 0 {
                 break;
             }
-            let idx = (start + k) % n;
-            if ctx.try_issue(idx) {
-                self.last_slot = Some(ctx.candidates()[idx].slot.0);
+            if ctx.try_issue(slot) {
+                self.last_slot = Some(slot);
             }
         }
     }
 
     fn fast_forward_idle(&mut self, _cycles: u64) -> bool {
-        // An empty candidate list leaves the round-robin pointer alone.
+        // An empty ready set leaves the round-robin pointer alone.
         true
     }
 

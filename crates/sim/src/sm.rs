@@ -8,12 +8,12 @@ use crate::gpu::LaunchConfig;
 use crate::mem::MemorySubsystem;
 use crate::probe::{Event as ProbeEvent, Recorder};
 use crate::sanitize::Sanitizer;
-use crate::sched::{Candidate, IssueCtx, WarpScheduler};
+use crate::sched::{IssueCtx, WarpScheduler, SLOTS};
 use crate::stats::SimStats;
 use crate::timeq::TimeQ;
 use crate::trace::{CycleObserver, CycleSample, NullObserver, SpanSample};
 use crate::warp::{Warp, WarpClass, WarpId, WarpSlot};
-use warped_isa::{Kernel, MemSpace, Opcode, Reg};
+use warped_isa::{Kernel, MemSpace, Opcode, Reg, UnitType};
 
 /// Occupancy of the LD/ST pipeline per memory instruction, in cycles
 /// (address generation and coalescing window).
@@ -222,24 +222,27 @@ pub struct Sm {
     /// or advance the wave barrier), cleared after each refill pass, so
     /// [`Sm::fill_slots`] skips its group scan on every other cycle.
     refill_hint: bool,
-    /// The issue context, alive for the whole run: the candidate list
-    /// and pick/index buffers persist across cycles, and
-    /// [`IssueCtx::reset_for_cycle`] rearms the per-cycle state in
-    /// place (no per-cycle struct moves).
-    ctx: IssueCtx,
-    /// Live warps currently classed [`WarpClass::Barrier`], maintained
-    /// by the reclassify phase so barrier-free cycles skip the group
-    /// scan entirely.
-    barrier_warps: u32,
-    /// Slots whose warp's cached class is `Ready` — the issue
-    /// candidates. Like every bitmap below it mirrors the *cached*
-    /// (possibly stale) `Warp::class` field and is updated only on the
+    /// The issue context, alive for the whole run. Its per-unit ready
+    /// bitmaps are the issue candidates: slots whose warp's cached
+    /// class is `Ready`, keyed by the unit of the next instruction.
+    /// Like every bitmap and counter below they mirror the *cached*
+    /// (possibly stale) `Warp::class` field and are updated only on the
     /// edges that touch that field: launch, the dirty-warp reclassify
     /// drain, barrier release, and retirement. Per-cycle phases then
-    /// cost O(changes + ready warps), not O(resident slots).
-    ready_bits: u128,
+    /// cost O(changes + issued warps), not O(resident slots), and
+    /// [`IssueCtx::reset_for_cycle`] rearms only the per-cycle state.
+    ctx: IssueCtx,
+    /// Live warps per thread-block slot group (slot `i` belongs to
+    /// group `i / block_warps`).
+    group_live: Vec<u32>,
+    /// Live warps per slot group whose cached class is
+    /// [`WarpClass::Barrier`].
+    group_barrier: Vec<u32>,
+    /// Groups whose live warps all sit at a barrier (bit `g` = group
+    /// `g`): the groups the next barrier release steps past it.
+    releasable: u128,
     /// Slots whose warp's cached class is in the active set
-    /// (`Ready` or `ActiveWaiting`); a superset of `ready_bits`.
+    /// (`Ready` or `ActiveWaiting`); a superset of the ready slots.
     active_bits: u128,
     /// Slots holding a finished-but-unretired warp that is *not* in
     /// `active_bits` — only the barrier-release path can produce one
@@ -257,10 +260,6 @@ pub struct Sm {
     /// Per-slot unit index currently counted into `active_subset`
     /// ([`NO_CONTRIB`] when the slot contributes nothing).
     contrib: Vec<u8>,
-    /// Whether the candidate list cached in `ctx.candidates` is
-    /// stale with respect to `ready_bits` or the ready warps'
-    /// next-instruction metadata.
-    cands_stale: bool,
     /// Scheduler fast-forward veto memo: a veto over a span holds for
     /// the whole span (nothing the scheduler could observe changes
     /// before the event bounding it), so
@@ -309,8 +308,8 @@ impl Sm {
         let (kernel, total_warps, block_warps, stagger, waves) = launch.into_parts();
         assert!(total_warps > 0, "launch must request at least one warp");
         assert!(
-            config.max_resident_warps <= 128,
-            "ready-set bitmaps support at most 128 resident warps"
+            config.max_resident_warps <= SLOTS,
+            "ready-set bitmaps support at most {SLOTS} resident warps"
         );
         let warps_per_wave = total_warps.div_ceil(waves);
         let mem = MemorySubsystem::new(config.memory.clone());
@@ -341,6 +340,7 @@ impl Sm {
         }
         let contrib = vec![NO_CONTRIB; config.max_resident_warps];
         let ctx = IssueCtx::persistent(layout, config.issue_width);
+        let groups = config.max_resident_warps.div_ceil(block_warps as usize);
         Sm {
             config,
             layout,
@@ -365,14 +365,14 @@ impl Sm {
             live_warps: 0,
             refill_hint: true,
             ctx,
-            barrier_warps: 0,
-            ready_bits: 0,
+            group_live: vec![0; groups],
+            group_barrier: vec![0; groups],
+            releasable: 0,
             active_bits: 0,
             finished_bits: 0,
             dirty_bits: 0,
             active_subset: [0; 4],
             contrib,
-            cands_stale: false,
             veto_until: 0,
             ff_transitions: Vec::new(),
             sanitizer,
@@ -386,23 +386,28 @@ impl Sm {
     /// write; [`Sm::unindex_slot`] is its exact inverse.
     fn index_slot(&mut self, i: usize) {
         let w = self.slots[i].as_ref().expect("indexing a vacated slot");
+        let (class, next_meta, in_active_set) = (w.class, w.next_meta, w.in_active_set());
         let bit = 1u128 << i;
-        match w.class {
-            WarpClass::Ready => {
-                self.ready_bits |= bit;
+        // A just-launched warp of an empty kernel carries the stale
+        // launch class `Ready` with no next instruction; it retires at
+        // its first reclassify drain, before the ready set or the
+        // subset counts are ever read, so it is neither ready nor
+        // counted here.
+        match (class, next_meta) {
+            (WarpClass::Ready, Some(meta)) => {
+                self.ctx.set_ready(i, meta.unit, meta.is_global_load);
                 self.active_bits |= bit;
-                self.cands_stale = true;
             }
-            WarpClass::ActiveWaiting => self.active_bits |= bit,
-            WarpClass::Barrier => self.barrier_warps += 1,
-            WarpClass::Pending | WarpClass::Draining => {}
+            (WarpClass::Ready | WarpClass::ActiveWaiting, _) => self.active_bits |= bit,
+            (WarpClass::Barrier, _) => {
+                let g = self.group_of(i);
+                self.group_barrier[g] += 1;
+                self.update_group(g);
+            }
+            (WarpClass::Pending | WarpClass::Draining, _) => {}
         }
-        if w.in_active_set() {
-            // A just-launched warp of an empty kernel carries the stale
-            // launch class `Ready` with no next instruction; it retires
-            // at its first reclassify drain, before the subset counts
-            // are ever read, so it contributes nothing here.
-            if let Some(meta) = w.next_meta {
+        if in_active_set {
+            if let Some(meta) = next_meta {
                 self.active_subset[meta.unit.index()] += 1;
                 self.contrib[i] = meta.unit.index() as u8;
             }
@@ -417,18 +422,37 @@ impl Sm {
         let bit = 1u128 << i;
         match w.class {
             WarpClass::Ready => {
-                self.ready_bits &= !bit;
+                self.ctx.clear_ready(i);
                 self.active_bits &= !bit;
-                self.cands_stale = true;
             }
             WarpClass::ActiveWaiting => self.active_bits &= !bit,
-            WarpClass::Barrier => self.barrier_warps -= 1,
+            WarpClass::Barrier => {
+                let g = self.group_of(i);
+                self.group_barrier[g] -= 1;
+                self.update_group(g);
+            }
             WarpClass::Pending | WarpClass::Draining => {}
         }
         let c = self.contrib[i];
         if c != NO_CONTRIB {
             self.active_subset[c as usize] -= 1;
             self.contrib[i] = NO_CONTRIB;
+        }
+    }
+
+    /// The thread-block slot group slot `i` belongs to.
+    fn group_of(&self, i: usize) -> usize {
+        i / self.block_warps as usize
+    }
+
+    /// Recomputes group `g`'s bit in `releasable` after its live or
+    /// at-barrier count changed.
+    fn update_group(&mut self, g: usize) {
+        let live = self.group_live[g];
+        if live > 0 && self.group_barrier[g] == live {
+            self.releasable |= 1u128 << g;
+        } else {
+            self.releasable &= !(1u128 << g);
         }
     }
 
@@ -562,6 +586,9 @@ impl Sm {
                     self.slots[i] = Some(warp);
                     self.launched += 1;
                     self.live_warps += 1;
+                    // A launched warp is classed `Ready`, never at a
+                    // barrier, so its group cannot turn releasable.
+                    self.group_live[g0 / group] += 1;
                     self.dirty_bits |= 1u128 << i;
                     self.index_slot(i);
                 }
@@ -637,6 +664,9 @@ impl Sm {
             self.unindex_slot(i);
             if finished {
                 self.slots[i] = None;
+                let g = self.group_of(i);
+                self.group_live[g] -= 1;
+                self.update_group(g);
                 self.warps_done += 1;
                 self.live_warps -= 1;
                 self.refill_hint = true;
@@ -658,36 +688,13 @@ impl Sm {
         self.stats.active_warp_cycles += u64::from(active_count);
         self.stats.active_warps_max = self.stats.active_warps_max.max(active_count);
 
-        // Refresh the cached candidate list only when a ready warp's
-        // membership or next-instruction metadata changed; on every
-        // other cycle the previous list is still exact (issues only
-        // flip the context's `issued` bitmap, which
-        // [`IssueCtx::reset_for_cycle`] rearms below).
-        if self.cands_stale {
-            self.ctx.candidates.clear();
-            self.ctx.ready_base = [0; 4];
-            for idx in &mut self.ctx.unit_idx {
-                idx.clear();
-            }
-            let mut ready = self.ready_bits;
-            while ready != 0 {
-                let i = ready.trailing_zeros() as usize;
-                ready &= ready - 1;
-                let w = self.slots[i].as_ref().expect("ready bit on vacated slot");
-                let meta = w
-                    .next_meta
-                    .expect("ready warp must have a next instruction");
-                let u = meta.unit.index();
-                self.ctx.unit_idx[u].push(self.ctx.candidates.len() as u32);
-                self.ctx.candidates.push(Candidate {
-                    slot: WarpSlot(i),
-                    unit: meta.unit,
-                    is_global_load: meta.is_global_load,
-                });
-                self.ctx.ready_base[u] += 1;
-            }
-            self.cands_stale = false;
+        if self.sanitizer.is_some() {
+            // Independent re-derivation of the maintained issue-stage
+            // index: the ready bitmaps the scheduler reads and the group
+            // counters barrier release reads.
+            self.assert_indexed();
         }
+
         let active_subset = self.active_subset;
 
         // Phase 3: scheduler picks under the current gating state (one
@@ -783,7 +790,7 @@ impl Sm {
     /// whether it did.
     ///
     /// A span is skippable when the current cycle has no pending
-    /// events, no live warp sits in the active set (so candidate lists
+    /// events, no live warp sits in the active set (so the ready set
     /// and active subsets are empty and nothing can issue), no warp is
     /// finished-but-unretired, and no barrier group is releasable.
     /// Warp classes only change through scheduled events, issues, and
@@ -810,7 +817,7 @@ impl Sm {
         if self.clock.has_due(self.cycle) {
             return false;
         }
-        if self.barrier_warps > 0 && self.any_releasable_barrier() {
+        if self.releasable != 0 {
             return false;
         }
         // A scheduler veto holds for its whole span (nothing the
@@ -842,25 +849,68 @@ impl Sm {
         true
     }
 
-    /// Whether any block's live warps have all arrived at a barrier.
-    fn any_releasable_barrier(&self) -> bool {
-        let group = self.block_warps as usize;
-        let n = self.slots.len();
-        let mut g0 = 0;
-        while g0 < n {
-            let g1 = (g0 + group).min(n);
-            let mut live = 0u32;
-            let mut at_barrier = 0u32;
-            for w in self.slots[g0..g1].iter().flatten() {
-                live += 1;
-                at_barrier += u32::from(w.class == WarpClass::Barrier);
+    /// Sanitizer cross-check of the maintained issue-stage index:
+    /// re-derives the ready bitmaps (with each ready slot's unit and
+    /// load flag), the active set, the per-group live and at-barrier
+    /// counts, and the releasable groups from `slots` alone, and panics
+    /// on the first mismatch with what [`Sm::index_slot`] and friends
+    /// maintain.
+    fn assert_indexed(&self) {
+        let mut ready = [0u128; 4];
+        let mut active = 0u128;
+        let mut live = vec![0u32; self.group_live.len()];
+        let mut barrier = vec![0u32; self.group_barrier.len()];
+        for (i, w) in self.slots.iter().enumerate() {
+            let Some(w) = w else { continue };
+            let bit = 1u128 << i;
+            live[self.group_of(i)] += 1;
+            if w.in_active_set() {
+                active |= bit;
             }
-            if live > 0 && at_barrier == live {
-                return true;
+            match (w.class, w.next_meta) {
+                (WarpClass::Ready, Some(meta)) => {
+                    ready[meta.unit.index()] |= bit;
+                    assert_eq!(
+                        self.ctx.ready_meta(i),
+                        (meta.unit, meta.is_global_load),
+                        "sanitizer: stale ready metadata for slot {i} at cycle {}",
+                        self.cycle
+                    );
+                }
+                (WarpClass::Barrier, _) => barrier[self.group_of(i)] += 1,
+                _ => {}
             }
-            g0 = g1;
         }
-        false
+        for unit in UnitType::ALL {
+            assert_eq!(
+                self.ctx.ready_of(unit),
+                ready[unit.index()],
+                "sanitizer: {unit} ready bitmap drifted at cycle {}",
+                self.cycle
+            );
+        }
+        assert_eq!(
+            self.active_bits, active,
+            "sanitizer: active-set bitmap drifted at cycle {}",
+            self.cycle
+        );
+        assert_eq!(
+            (&self.group_live, &self.group_barrier),
+            (&live, &barrier),
+            "sanitizer: group (live, at-barrier) counters drifted at cycle {}",
+            self.cycle
+        );
+        let releasable = live
+            .iter()
+            .zip(&barrier)
+            .enumerate()
+            .filter(|(_, (&l, &b))| l > 0 && b == l)
+            .fold(0u128, |bits, (g, _)| bits | 1u128 << g);
+        assert_eq!(
+            self.releasable, releasable,
+            "sanitizer: releasable groups drifted at cycle {}",
+            self.cycle
+        );
     }
 
     /// Jumps the clock `span` cycles in one step, reproducing exactly
@@ -871,7 +921,7 @@ impl Sm {
         let cycle = self.cycle;
 
         // Phases 1-4 equivalent: no events, no retirement, no barrier
-        // release, empty candidate lists, nothing issues. The only
+        // release, an empty ready set, nothing issues. The only
         // issue-stage effect is the idle-issue count; the active-warp
         // accounting adds zero each cycle.
         self.stats.idle_issue_cycles += span;
@@ -960,47 +1010,40 @@ impl Sm {
     /// leave a warp finished-but-unretired, recorded in
     /// `finished_bits`.
     fn release_barriers(&mut self) {
-        // No live warp is parked at a barrier: nothing can release, so
-        // skip the group scan (the common case on barrier-free cycles).
-        if self.barrier_warps == 0 {
-            return;
-        }
+        // The maintained group counters name the releasable groups
+        // directly; barrier-free cycles find the set empty. Iterate a
+        // snapshot: a released group that lands on its next barrier at
+        // once (back-to-back barriers) re-enters the set, but releases
+        // again only next cycle.
         let group = self.block_warps as usize;
         let n = self.slots.len();
-        let mut g0 = 0;
-        while g0 < n {
-            let g1 = (g0 + group).min(n);
-            let live = self.slots[g0..g1].iter().flatten().count();
-            let at_barrier = self.slots[g0..g1]
-                .iter()
-                .flatten()
-                .filter(|w| w.class == WarpClass::Barrier)
-                .count();
-            if live > 0 && at_barrier == live {
-                for i in g0..g1 {
-                    if self.slots[i].is_none() {
-                        continue;
-                    }
-                    self.unindex_slot(i);
-                    let w = self.slots[i].as_mut().expect("released a vacated slot");
-                    debug_assert_eq!(w.class, WarpClass::Barrier);
-                    w.cursor.advance(&self.kernel);
-                    w.refresh_next(&self.kernel);
-                    // A released warp may sit at its next barrier
-                    // already (back-to-back barriers).
-                    w.reclassify();
-                    // The advance may have finished the warp; leave the
-                    // retirement test to the next classification drain.
-                    w.dirty = true;
-                    let finished = w.is_finished();
-                    self.index_slot(i);
-                    self.dirty_bits |= 1u128 << i;
-                    if finished {
-                        self.finished_bits |= 1u128 << i;
-                    }
+        let mut groups = self.releasable;
+        while groups != 0 {
+            let g = groups.trailing_zeros() as usize;
+            groups &= groups - 1;
+            let g0 = g * group;
+            for i in g0..(g0 + group).min(n) {
+                if self.slots[i].is_none() {
+                    continue;
+                }
+                self.unindex_slot(i);
+                let w = self.slots[i].as_mut().expect("released a vacated slot");
+                debug_assert_eq!(w.class, WarpClass::Barrier);
+                w.cursor.advance(&self.kernel);
+                w.refresh_next(&self.kernel);
+                // A released warp may sit at its next barrier
+                // already (back-to-back barriers).
+                w.reclassify();
+                // The advance may have finished the warp; leave the
+                // retirement test to the next classification drain.
+                w.dirty = true;
+                let finished = w.is_finished();
+                self.index_slot(i);
+                self.dirty_bits |= 1u128 << i;
+                if finished {
+                    self.finished_bits |= 1u128 << i;
                 }
             }
-            g0 = g1;
         }
     }
 

@@ -44,8 +44,8 @@ pub enum WarpClass {
 }
 
 /// Issue-relevant decode of a warp's next instruction, cached alongside
-/// the I-buffer entry so the per-cycle candidate scan does not re-derive
-/// unit class and load-ness from the opcode every cycle.
+/// the I-buffer entry so indexing a ready warp does not re-derive unit
+/// class and load-ness from the opcode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct NextMeta {
     /// The execution unit the instruction needs.

@@ -28,9 +28,9 @@ impl<S: WarpScheduler> WarpScheduler for Tracing<S> {
     fn pick(&mut self, ctx: &mut IssueCtx) {
         self.inner.pick(ctx);
         let mut log = self.log.borrow_mut();
-        for (i, c) in ctx.candidates().iter().enumerate() {
-            if ctx.is_issued(i) {
-                log.push((ctx.cycle(), c.unit));
+        for unit in UnitType::ALL {
+            if ctx.ready_of(unit) & ctx.issued() != 0 {
+                log.push((ctx.cycle(), unit));
             }
         }
     }

@@ -94,6 +94,21 @@ if ! diff -r traces "$outdir/traces"; then
 fi
 echo "six captures verified across all techniques and byte-identical to traces/"
 
+step "architecture studies gate (1-4 SP clusters, issue widths 1-4, bit-for-bit)"
+# The grids above run Fermi's two SP clusters at issue width two; these
+# two studies are the only committed outputs that exercise cluster
+# steering over one, three and four clusters and issue widths one to
+# four, so they must reproduce their checked-in tables byte for byte.
+for study in kepler_study width_study; do
+    cargo run --release -q -p warped-bench --bin "$study" -- --scale 0.3 \
+        >"$outdir/$study.txt"
+    if ! diff "results/$study.txt" "$outdir/$study.txt"; then
+        echo "verify: FAIL — $study diverged from results/$study.txt" >&2
+        exit 1
+    fi
+done
+echo "kepler_study and width_study match the checked-in results byte for byte"
+
 step "sanitized sweep (legacy fast-forward clock, invariant sanitizer armed)"
 # The reference ring clock keeps its own coverage: the sanitizer's
 # assert_quiet cross-check runs against both backends.

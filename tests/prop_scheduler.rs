@@ -48,14 +48,13 @@ fn build_ctx(cands: &[RawCand], on: [bool; NUM_DOMAINS], actv: [u32; 4], credits
 
 /// Counts issued candidates per unit type and checks hard constraints.
 fn check_hard_constraints(ctx: &IssueCtx, on: &[bool; NUM_DOMAINS]) {
-    let mut per_unit = [0u32; 4];
-    let mut total = 0u32;
-    for (i, c) in ctx.candidates().iter().enumerate() {
-        if ctx.is_issued(i) {
-            per_unit[c.unit.index()] += 1;
-            total += 1;
-        }
-    }
+    let per_unit = UnitType::ALL.map(|u| (ctx.ready_of(u) & ctx.issued()).count_ones());
+    let total: u32 = per_unit.iter().sum();
+    assert_eq!(
+        ctx.issued() & !ctx.ready(),
+        0,
+        "issued a slot with no ready warp"
+    );
     assert!(total <= 2, "issue width violated");
     // Per-type port capacity: INT/FP at most 2 (two SP clusters, and
     // only if powered), SFU/LDST at most 1.
@@ -157,14 +156,11 @@ fn ready_counts_track_issues() {
         let before: Vec<u32> = UnitType::ALL.map(|u| ctx.ready_count(u)).to_vec();
         GatesScheduler::new().pick(&mut ctx);
         // After the pick pass, ready_count of each unit must equal the
-        // un-issued candidates of that unit (the incremental counter
+        // un-issued ready slots of that unit (the incremental counter
         // matches a fresh scan).
         for unit in UnitType::ALL {
-            let remaining = ctx
-                .candidates()
-                .iter()
-                .enumerate()
-                .filter(|(i, c)| c.unit == unit && !ctx.is_issued(*i))
+            let remaining = (0..128)
+                .filter(|&slot| ctx.ready_of(unit) >> slot & 1 == 1 && !ctx.is_issued(slot))
                 .count() as u32;
             assert_eq!(ctx.ready_count(unit), remaining, "{unit}");
             assert!(ctx.ready_count(unit) <= before[unit.index()]);
@@ -181,11 +177,9 @@ fn global_loads_never_exceed_mshr_credits() {
         let cands: Vec<RawCand> = (0..n_loads).map(|i| (i, 3, true)).collect();
         let mut ctx = build_ctx(&cands, [true; NUM_DOMAINS], [4; 4], credits);
         TwoLevelScheduler::new().pick(&mut ctx);
-        let issued_loads = ctx
-            .candidates()
+        let issued_loads = cands
             .iter()
-            .enumerate()
-            .filter(|(i, c)| ctx.is_issued(*i) && c.is_global_load)
+            .filter(|&&(slot, _, load)| load && ctx.is_issued(slot))
             .count() as u32;
         assert!(issued_loads <= credits);
     }
