@@ -21,15 +21,7 @@ fn candidates(n: usize) -> Vec<Candidate> {
 }
 
 fn ctx(cands: &[Candidate]) -> IssueCtx {
-    IssueCtx::new(
-        0,
-        2,
-        cands.to_vec(),
-        [true; NUM_DOMAINS],
-        [false; NUM_DOMAINS],
-        [8; 4],
-        16,
-    )
+    IssueCtx::new(0, 2, cands.to_vec(), [true; NUM_DOMAINS], [8; 4], 16)
 }
 
 fn pick_cost(label: &str, cands: &[Candidate], mut scheduler: impl WarpScheduler) {

@@ -280,15 +280,7 @@ mod tests {
     }
 
     fn ctx(cands: Vec<warped_sim::Candidate>, actv: [u32; 4]) -> IssueCtx {
-        IssueCtx::new(
-            0,
-            2,
-            cands,
-            [true; NUM_DOMAINS],
-            [false; NUM_DOMAINS],
-            actv,
-            64,
-        )
+        IssueCtx::new(0, 2, cands, [true; NUM_DOMAINS], actv, 64)
     }
 
     #[test]
@@ -363,7 +355,6 @@ mod tests {
             2,
             vec![cand(0, UnitType::Fp)],
             [true; NUM_DOMAINS],
-            [false; NUM_DOMAINS],
             [0, 4, 0, 0],
             64,
         );
@@ -398,7 +389,6 @@ mod tests {
             2,
             vec![cand(0, UnitType::Fp)],
             on,
-            [false; NUM_DOMAINS],
             [2, 3, 0, 0], // INT still has active warps, but its units sleep
             64,
         );
@@ -492,7 +482,6 @@ mod tests {
                 cand(2, UnitType::Fp),
             ],
             on,
-            [false; NUM_DOMAINS],
             [2, 1, 0, 0],
             64,
         );
@@ -524,7 +513,6 @@ mod tests {
                 cand(4, UnitType::Fp),
             ],
             on,
-            [false; NUM_DOMAINS],
             [2, 3, 0, 0],
             64,
         );
@@ -551,7 +539,6 @@ mod tests {
                 2,
                 vec![cand(0, UnitType::Int), cand(1, UnitType::Fp)],
                 on,
-                [false; NUM_DOMAINS],
                 [1, 1, 0, 0],
                 64,
             )

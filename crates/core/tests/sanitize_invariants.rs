@@ -9,6 +9,9 @@
 //!   the sanitizer exists to catch (a blackout policy waking before its
 //!   claimed break-even floor, a tuner escaping its promised window
 //!   bounds) are caught mid-simulation, not silently tolerated.
+//! * **Open periods at any cut** — runs cut by the cycle cap at every
+//!   cycle of a window end inside busy, idle, gated and waking periods,
+//!   and the end-of-run reconciliation must hold at each cut.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use warped_gates::{runner, Experiment, Technique};
@@ -176,5 +179,35 @@ fn sanitize_off_tolerates_the_same_broken_policy() {
         );
         let outcome = sm.run();
         assert!(outcome.stats.cycles > 0);
+    }
+}
+
+#[test]
+fn runs_cut_at_every_cycle_reconcile_their_open_periods() {
+    // The simulator integrates busy and idle time at busy edges and the
+    // controller closes gated and wakeup time at wake edges; both add
+    // the still-open period at the end. A cycle cap stops the run
+    // wherever it falls, so sweeping the cap over a busy stretch ends
+    // runs mid-busy, mid-idle, mid-gate and mid-wakeup, and the
+    // sanitizer's end-of-run reconciliation must hold at every cut.
+    let spec = Benchmark::Hotspot.spec().scaled(0.08);
+    for cap in 150..350 {
+        let mut cfg = spec.sm_config();
+        cfg.sanitize = true;
+        cfg.max_cycles = cap;
+        let gating = Box::new(Controller::new(
+            GatingParams::default(),
+            ConvPgPolicy::new(),
+            StaticIdleDetect::new(),
+        ));
+        let out = Sm::new(
+            cfg,
+            spec.launch(),
+            Technique::ConvPg.make_scheduler(),
+            gating,
+        )
+        .run();
+        assert!(out.timed_out, "cap {cap} must cut the run");
+        assert_eq!(out.stats.cycles, cap);
     }
 }

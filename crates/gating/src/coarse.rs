@@ -79,7 +79,7 @@ impl PowerGating for SmCoarseGating {
 
     fn observe(&mut self, obs: &CycleObservation) {
         let bet = self.params.bet;
-        let any_busy = obs.busy.iter().any(|b| *b);
+        let any_busy = obs.busy != 0;
         let any_demand = obs.blocked_demand.iter().any(|d| *d > 0);
 
         self.state = match self.state {
@@ -154,7 +154,7 @@ impl PowerGating for SmCoarseGating {
         transitions: &mut Vec<GateTransition>,
     ) {
         let bet = self.params.bet;
-        let any_busy = obs.busy.iter().any(|b| *b);
+        let any_busy = obs.busy != 0;
         let any_demand = obs.blocked_demand.iter().any(|d| *d > 0);
         let mut done: u64 = 0;
         while done < cycles {
@@ -238,13 +238,9 @@ impl PowerGating for SmCoarseGating {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use warped_sim::NUM_DOMAINS;
 
     fn obs(busy_domain: Option<DomainId>, demand: bool) -> CycleObservation {
-        let mut busy = [false; NUM_DOMAINS];
-        if let Some(d) = busy_domain {
-            busy[d.index()] = true;
-        }
+        let busy = busy_domain.map_or(0, DomainId::bit);
         let mut blocked = [0u32; 4];
         if demand {
             blocked[0] = 1;

@@ -68,17 +68,20 @@ pub struct PolicyCtx<'a> {
 /// A closed-form description of when [`GatePolicy::should_gate`] fires
 /// as a domain's idle run grows with every *other* context field frozen.
 ///
-/// The [`Controller`](crate::Controller) consults this inside
-/// [`PowerGating::fast_forward`](warped_sim::PowerGating::fast_forward)
-/// to advance an idle domain through a quiet span without evaluating the
-/// policy every cycle. The contract is exact, not approximate: a policy
-/// returning [`GateForecast::AtIdleRun`]`(t)` promises that, for a
-/// context identical to `ctx` except for `idle_run`,
-/// `should_gate(idle_run = x)` is `true` exactly when `x >= t`. The
-/// controller only relies on the forecast while every domain's state
-/// *class* (active/gated/waking) is unchanged — any observation that
-/// could change a class runs through the ordinary per-cycle path — so
+/// This is the [`Controller`](crate::Controller)'s per-cycle deadline
+/// for an idle, powered domain, not only a fast-forward aid: after each
+/// evaluation the controller turns the forecast into the observation at
+/// which the domain must next be looked at, and leaves it alone until
+/// then. The contract is exact, not approximate: a policy returning
+/// [`GateForecast::AtIdleRun`]`(t)` promises that, for a context
+/// identical to `ctx` except for `idle_run`, `should_gate(idle_run = x)`
+/// is `true` exactly when `x >= t`. The controller re-evaluates the
+/// domain (and so asks again) whenever any other context field could
+/// have changed — its unit's demand or active subset, a same-type
+/// peer's state class, or the idle-detect window at a tuner epoch — so
 /// the frozen-context assumption holds wherever the forecast is used.
+/// [`GateForecast::Unknown`] costs an evaluation on every idle cycle;
+/// [`GateForecast::Never`] costs none until an input changes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GateForecast {
     /// No closed form: the controller must evaluate `should_gate` every
@@ -140,8 +143,8 @@ pub trait GatePolicy {
     /// every other field of `ctx` held fixed (see [`GateForecast`]).
     ///
     /// The default is [`GateForecast::Unknown`], which keeps custom
-    /// policies correct under clock fast-forwarding at the cost of
-    /// per-cycle evaluation.
+    /// policies correct at the cost of evaluating them on every idle
+    /// cycle.
     fn forecast_gate(&self, ctx: &PolicyCtx<'_>) -> GateForecast {
         let _ = ctx;
         GateForecast::Unknown

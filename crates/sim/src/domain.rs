@@ -30,6 +30,24 @@ pub const NUM_SP_CLUSTERS: usize = 2;
 /// active layout are simply never touched.
 pub const NUM_DOMAINS: usize = 2 * MAX_SP_CLUSTERS + 2;
 
+/// A set of domains, one bit per [`DomainId::index`] (bit `i` = the
+/// domain with index `i`). Per-cycle busy and powered state travels in
+/// this form, so "did anything change?" is one XOR.
+pub type DomainMask = u16;
+
+/// The domains set in `flags` (indexed by [`DomainId::index`]).
+pub(crate) fn mask_of(flags: &[bool; NUM_DOMAINS]) -> DomainMask {
+    flags
+        .iter()
+        .enumerate()
+        .fold(0, |m, (i, &on)| m | DomainMask::from(on) << i)
+}
+
+/// Per-domain flags, indexed by [`DomainId::index`], of `mask`.
+pub(crate) fn flags_of(mask: DomainMask) -> [bool; NUM_DOMAINS] {
+    std::array::from_fn(|i| mask >> i & 1 == 1)
+}
+
 const SFU_INDEX: usize = 2 * MAX_SP_CLUSTERS;
 const LDST_INDEX: usize = SFU_INDEX + 1;
 
@@ -82,6 +100,12 @@ impl DomainId {
     #[must_use]
     pub fn index(self) -> usize {
         self.0
+    }
+
+    /// This domain's bit in a [`DomainMask`].
+    #[must_use]
+    pub const fn bit(self) -> DomainMask {
+        1 << self.0
     }
 
     /// Builds a domain from a dense index.
@@ -318,6 +342,18 @@ impl DomainLayout {
         }
     }
 
+    /// Every active domain as a [`DomainMask`].
+    #[must_use]
+    pub fn mask(self) -> DomainMask {
+        self.all().iter().fold(0, |m, d| m | d.bit())
+    }
+
+    /// The domains of `unit` as a [`DomainMask`].
+    #[must_use]
+    pub fn unit_mask(self, unit: UnitType) -> DomainMask {
+        self.domains_of(unit).iter().fold(0, |m, d| m | d.bit())
+    }
+
     /// Whether `domain` exists in this layout.
     #[must_use]
     pub fn contains(self, domain: DomainId) -> bool {
@@ -430,6 +466,31 @@ mod tests {
     #[should_panic(expected = "sp_clusters")]
     fn zero_cluster_layout_rejected() {
         let _ = DomainLayout::new(0);
+    }
+
+    #[test]
+    fn masks_follow_the_index_encoding() {
+        let l = DomainLayout::fermi();
+        assert_eq!(DomainId::FP1.bit(), 1 << 7);
+        assert_eq!(l.unit_mask(UnitType::Int), 0b11);
+        assert_eq!(l.unit_mask(UnitType::Fp), 0b11 << MAX_SP_CLUSTERS);
+        assert_eq!(l.mask(), 0b11_0000_1100_0011);
+        assert_eq!(DomainLayout::kepler().mask().count_ones(), 14);
+        for k in 1..=MAX_SP_CLUSTERS {
+            let l = DomainLayout::new(k);
+            let units = UnitType::ALL.iter().fold(0, |m, u| m | l.unit_mask(*u));
+            assert_eq!(units, l.mask());
+        }
+    }
+
+    #[test]
+    fn flags_and_masks_round_trip() {
+        let mut flags = [false; NUM_DOMAINS];
+        flags[DomainId::INT1.index()] = true;
+        flags[DomainId::LDST.index()] = true;
+        let mask = mask_of(&flags);
+        assert_eq!(mask, DomainId::INT1.bit() | DomainId::LDST.bit());
+        assert_eq!(flags_of(mask), flags);
     }
 
     #[test]

@@ -1,7 +1,6 @@
-//! Execution-unit pipelines and per-cycle issue-port bookkeeping.
+//! Execution-unit pipelines, the busy mask, and dispatch-port bits.
 
-use crate::domain::{DomainId, MAX_SP_CLUSTERS, NUM_DOMAINS};
-use warped_isa::UnitType;
+use crate::domain::{DomainId, DomainMask, NUM_DOMAINS};
 
 /// A pipelined execution cluster (one gating domain's worth of hardware).
 ///
@@ -45,81 +44,50 @@ impl Pipeline {
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ExecUnits {
     pipes: [Pipeline; NUM_DOMAINS],
+    /// Domains whose pipeline holds at least one instruction, kept in
+    /// step with every [`ExecUnits::issue`] and [`ExecUnits::retire`].
+    busy: DomainMask,
 }
 
 impl ExecUnits {
     #[cfg(test)]
-    #[allow(dead_code)]
     pub(crate) fn pipe(&self, d: DomainId) -> &Pipeline {
         &self.pipes[d.index()]
     }
 
-    pub(crate) fn pipe_mut(&mut self, d: DomainId) -> &mut Pipeline {
-        &mut self.pipes[d.index()]
+    /// Starts an instruction in `d`'s pipeline.
+    pub(crate) fn issue(&mut self, d: DomainId) {
+        self.pipes[d.index()].issue();
+        self.busy |= d.bit();
     }
 
-    /// Busy flags for every domain, in domain-index order.
-    pub(crate) fn busy_flags(&self) -> [bool; NUM_DOMAINS] {
-        let mut out = [false; NUM_DOMAINS];
-        for (o, p) in out.iter_mut().zip(&self.pipes) {
-            *o = p.is_busy();
+    /// Retires an instruction from `d`'s pipeline.
+    pub(crate) fn retire(&mut self, d: DomainId) {
+        let pipe = &mut self.pipes[d.index()];
+        pipe.retire();
+        if !pipe.is_busy() {
+            self.busy &= !d.bit();
         }
-        out
+    }
+
+    /// The busy domains.
+    pub(crate) fn busy_mask(&self) -> DomainMask {
+        self.busy
     }
 }
 
-/// Issue-port allocation for one cycle.
+/// The dispatch-port bits `domain` claims when it accepts an
+/// instruction.
 ///
 /// The SM has four dispatch ports: SP0, SP1, SFU, LDST. An INT or FP
 /// instruction consumes the port of the SP cluster it dispatches to, so
 /// two INT instructions can co-issue (one per cluster), and an INT plus an
-/// FP can co-issue to different clusters, but INT0 and FP0 conflict.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct IssuePorts {
-    sp_used: [bool; MAX_SP_CLUSTERS],
-    sfu_used: bool,
-    ldst_used: bool,
-    issued: usize,
-}
-
-impl IssuePorts {
-    #[cfg(test)]
-    pub(crate) fn reset(&mut self) {
-        *self = IssuePorts::default();
-    }
-
-    pub(crate) fn issued(&self) -> usize {
-        self.issued
-    }
-
-    /// Whether `domain` could accept an instruction this cycle, port-wise.
-    pub(crate) fn port_free(&self, domain: DomainId) -> bool {
-        match domain.sp_cluster() {
-            Some(c) => !self.sp_used[c],
-            None => match domain.unit() {
-                UnitType::Sfu => !self.sfu_used,
-                UnitType::Ldst => !self.ldst_used,
-                _ => unreachable!("INT/FP domains always map to an SP cluster"),
-            },
-        }
-    }
-
-    /// Claims the port for `domain`.
-    ///
-    /// # Panics
-    ///
-    /// Panics (debug) if the port was already used this cycle.
-    pub(crate) fn claim(&mut self, domain: DomainId) {
-        debug_assert!(self.port_free(domain), "double issue to {domain}");
-        match domain.sp_cluster() {
-            Some(c) => self.sp_used[c] = true,
-            None => match domain.unit() {
-                UnitType::Sfu => self.sfu_used = true,
-                UnitType::Ldst => self.ldst_used = true,
-                _ => unreachable!(),
-            },
-        }
-        self.issued += 1;
+/// FP can co-issue to different clusters, but INT0 and FP0 conflict: an
+/// SP claim marks both of its cluster's domains used.
+pub(crate) fn port_bits(domain: DomainId) -> DomainMask {
+    match domain.sp_cluster() {
+        Some(c) => DomainId::int(c).bit() | DomainId::fp(c).bit(),
+        None => domain.bit(),
     }
 }
 
@@ -144,41 +112,41 @@ mod tests {
 
     #[test]
     fn ports_allow_dual_issue_to_distinct_clusters() {
-        let mut ports = IssuePorts::default();
-        assert!(ports.port_free(DomainId::INT0));
-        ports.claim(DomainId::INT0);
-        assert!(!ports.port_free(DomainId::INT0));
-        assert!(!ports.port_free(DomainId::FP0), "FP0 shares SP0's port");
-        assert!(ports.port_free(DomainId::INT1));
-        ports.claim(DomainId::INT1);
-        assert_eq!(ports.issued(), 2);
+        let used = port_bits(DomainId::INT0);
+        assert_ne!(used & DomainId::INT0.bit(), 0);
+        assert_ne!(used & DomainId::FP0.bit(), 0, "FP0 shares SP0's port");
+        assert_eq!(used & DomainId::INT1.bit(), 0);
+        assert_eq!(used & port_bits(DomainId::FP1), 0, "SP1 is a second port");
     }
 
     #[test]
     fn sfu_and_ldst_have_independent_ports() {
-        let mut ports = IssuePorts::default();
-        ports.claim(DomainId::SFU);
-        assert!(!ports.port_free(DomainId::SFU));
-        assert!(ports.port_free(DomainId::LDST));
-        ports.claim(DomainId::LDST);
-        assert!(ports.port_free(DomainId::INT0), "SP ports unaffected");
+        assert_eq!(port_bits(DomainId::SFU), DomainId::SFU.bit());
+        assert_eq!(port_bits(DomainId::LDST), DomainId::LDST.bit());
+        let sp = port_bits(DomainId::INT0) | port_bits(DomainId::INT1);
+        assert_eq!(sp & (DomainId::SFU.bit() | DomainId::LDST.bit()), 0);
     }
 
     #[test]
     fn reset_clears_everything() {
-        let mut ports = IssuePorts::default();
-        ports.claim(DomainId::FP1);
-        ports.reset();
-        assert!(ports.port_free(DomainId::FP1));
-        assert_eq!(ports.issued(), 0);
+        // Retiring every in-flight instruction empties the busy mask.
+        let mut units = ExecUnits::default();
+        units.issue(DomainId::FP1);
+        units.issue(DomainId::FP1);
+        units.issue(DomainId::SFU);
+        units.retire(DomainId::FP1);
+        assert_eq!(units.busy_mask(), DomainId::FP1.bit() | DomainId::SFU.bit());
+        units.retire(DomainId::FP1);
+        units.retire(DomainId::SFU);
+        assert_eq!(units.busy_mask(), 0);
     }
 
     #[test]
     fn busy_flags_reflect_each_domain() {
         let mut units = ExecUnits::default();
-        units.pipe_mut(DomainId::FP0).issue();
-        let flags = units.busy_flags();
-        assert!(flags[DomainId::FP0.index()]);
-        assert!(!flags[DomainId::INT0.index()]);
+        units.issue(DomainId::FP0);
+        assert_eq!(units.busy_mask(), DomainId::FP0.bit());
+        assert!(units.pipe(DomainId::FP0).is_busy());
+        assert!(!units.pipe(DomainId::INT0).is_busy());
     }
 }

@@ -2,12 +2,12 @@
 //!
 //! The simulator asks the controller, every cycle, whether each domain can
 //! accept an instruction; after issue it hands the controller the cycle's
-//! busy flags, unsatisfied-demand flags, and active-subset occupancy so
+//! busy mask, unsatisfied demand, and active-subset occupancy so
 //! the controller can advance its state machines. Concrete controllers
 //! (conventional power gating, Blackout, Warped Gates) live in the
 //! `warped-gating` and `warped-gates` crates.
 
-use crate::domain::{DomainId, NUM_DOMAINS};
+use crate::domain::{DomainId, DomainMask, NUM_DOMAINS};
 use crate::sanitize::GatingInvariants;
 
 /// Aggregate power-gating activity of one run, in plain data form.
@@ -158,8 +158,9 @@ pub struct GateTransition {
 pub struct CycleObservation {
     /// The cycle that just executed.
     pub cycle: u64,
-    /// Whether each domain's pipeline held at least one instruction.
-    pub busy: [bool; NUM_DOMAINS],
+    /// The domains whose pipeline held at least one instruction (bit
+    /// [`DomainId::index`]; see [`DomainId::bit`]).
+    pub busy: DomainMask,
     /// How many ready instructions of each unit type (INT, FP, SFU, LDST)
     /// failed to issue because every capable domain was gated, waking, or
     /// already port-saturated. This is the controller's wakeup demand
@@ -202,8 +203,10 @@ pub trait PowerGating {
     /// subsequent [`is_on`](PowerGating::is_on) answers must be
     /// indistinguishable from having stepped the span cycle by cycle.
     /// The default implementation simply loops `observe` and diffs
-    /// `is_on`, which is always correct; controllers with closed-form
-    /// countdown/BET/idle-detect advancement override it for speed.
+    /// `is_on`, which is always correct. It is also fast for a
+    /// controller whose `observe` does no work on a quiet cycle, as the
+    /// deadline-driven `warped_gating::Controller` does; the whole-SM
+    /// coarse controller overrides it with a closed form.
     fn fast_forward(
         &mut self,
         obs: &CycleObservation,
@@ -353,7 +356,7 @@ mod tests {
         }
         ctl.observe(&CycleObservation {
             cycle: 0,
-            busy: [false; NUM_DOMAINS],
+            busy: 0,
             blocked_demand: [0; 4],
             active_subset: [0; 4],
         });
@@ -445,7 +448,7 @@ mod tests {
     fn default_fast_forward_matches_looped_observe() {
         let obs = CycleObservation {
             cycle: 10,
-            busy: [false; NUM_DOMAINS],
+            busy: 0,
             blocked_demand: [0; 4],
             active_subset: [0; 4],
         };

@@ -76,7 +76,9 @@ pub mod trace;
 mod warp;
 
 pub use config::{HierarchyConfig, MemoryConfig, SmConfig};
-pub use domain::{DomainId, DomainLayout, MAX_SP_CLUSTERS, NUM_DOMAINS, NUM_SP_CLUSTERS};
+pub use domain::{
+    DomainId, DomainLayout, DomainMask, MAX_SP_CLUSTERS, NUM_DOMAINS, NUM_SP_CLUSTERS,
+};
 pub use gate_iface::{
     AlwaysOn, CycleObservation, DomainGatingStats, GateTransition, GatingReport, PowerGating,
 };

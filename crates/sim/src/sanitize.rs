@@ -3,8 +3,9 @@
 //!
 //! The paper's Blackout guarantee is a *hard* invariant — a gated unit
 //! must stay dark for at least the break-even time — and the fast
-//! paths added around the cycle loop (clock fast-forwarding, closed-form
-//! controller advancement, batched observer spans) are all exactness
+//! paths added around the cycle loop (clock fast-forwarding,
+//! deadline-driven controller evaluation, busy/idle accounting
+//! integrated only at edges, batched observer spans) are all exactness
 //! critical: a silent violation would only ever surface as a wrong
 //! energy number. The [`Sanitizer`] turns those properties into panics
 //! at the cycle they break:
@@ -24,9 +25,14 @@
 //! * **stream integrity** — samples cover every cycle exactly once, in
 //!   order, and transition lists are well-formed;
 //! * **cross-layer accounting** — at the end of the run, the busy
-//!   cycles seen in the sample stream must equal the simulator's own
-//!   statistics, and (for controllers that opt in) the powered-off
-//!   cycles must equal the controller's `gated + wakeup` counters.
+//!   cycles and the idle periods (count and total length) seen in the
+//!   sample stream must equal the simulator's own statistics, which it
+//!   integrates only at busy edges; and (for controllers that opt in)
+//!   the powered-off cycles must equal the controller's `gated +
+//!   wakeup` counters, the powered→off edges its `gate_events`, and the
+//!   completed off→on edges its `wakeups`, less a wakeup still in
+//!   progress. The controller closes those counters only at a wake
+//!   edge, so this also checks the still-open period it reports.
 //!
 //! The sanitizer runs in every test configuration
 //! ([`SmConfig::small_for_tests`](crate::SmConfig::small_for_tests)
@@ -66,9 +72,10 @@ pub struct GatingInvariants {
     /// tests and reports can introspect the claim.
     pub window_bounds: Option<(u32, u32)>,
     /// Whether the controller's report counts powered-off time as
-    /// `gated_cycles + wakeup_cycles` per observation, letting the
-    /// sanitizer reconcile the sample stream against the controller's
-    /// own counters at the end of the run.
+    /// `gated_cycles + wakeup_cycles` per observation, each power-off as
+    /// a gate event and each power-on as the end of a wakeup, letting
+    /// the sanitizer reconcile the sample stream against the
+    /// controller's own counters at the end of the run.
     pub off_cycles_accounted: bool,
 }
 
@@ -92,6 +99,14 @@ pub struct Sanitizer {
     busy_cycles: [u64; NUM_DOMAINS],
     /// Powered-off cycles seen in the sample stream per domain.
     off_cycles: [u64; NUM_DOMAINS],
+    /// Length of the open idle run per domain.
+    idle_run: [u64; NUM_DOMAINS],
+    /// Completed idle runs per domain: how many, and their total length.
+    idle_periods: [u64; NUM_DOMAINS],
+    idle_cycles: [u64; NUM_DOMAINS],
+    /// Powered→off and completed off→on edges per domain.
+    off_edges: [u64; NUM_DOMAINS],
+    on_edges: [u64; NUM_DOMAINS],
 }
 
 impl Sanitizer {
@@ -105,6 +120,11 @@ impl Sanitizer {
             off_run: [0; NUM_DOMAINS],
             busy_cycles: [0; NUM_DOMAINS],
             off_cycles: [0; NUM_DOMAINS],
+            idle_run: [0; NUM_DOMAINS],
+            idle_periods: [0; NUM_DOMAINS],
+            idle_cycles: [0; NUM_DOMAINS],
+            off_edges: [0; NUM_DOMAINS],
+            on_edges: [0; NUM_DOMAINS],
         }
     }
 
@@ -136,6 +156,7 @@ impl Sanitizer {
             self.next_cycle
         );
         self.off_run[di] = 0;
+        self.on_edges[di] += 1;
     }
 
     /// Accounts `len` cycles of constant busy/powered flags.
@@ -158,10 +179,20 @@ impl Sanitizer {
                     self.next_cycle
                 );
                 self.busy_cycles[di] += len;
+                if self.idle_run[di] > 0 {
+                    self.idle_periods[di] += 1;
+                    self.idle_cycles[di] += self.idle_run[di];
+                    self.idle_run[di] = 0;
+                }
+            } else {
+                self.idle_run[di] += len;
             }
             if powered[di] {
                 self.close_off_run(d);
             } else {
+                if self.off_run[di] == 0 {
+                    self.off_edges[di] += 1;
+                }
                 self.off_run[di] += len;
                 self.off_cycles[di] += len;
             }
@@ -169,17 +200,19 @@ impl Sanitizer {
     }
 
     /// End-of-run reconciliation against the simulator's statistics and
-    /// the controller's report.
+    /// the controller's report. `powered` holds the controller's power
+    /// state after its last observation, which no sample shows yet.
     ///
     /// # Panics
     ///
     /// Panics if the sample stream did not cover every simulated cycle,
-    /// if the stream's busy accounting disagrees with [`SimStats`], or
-    /// (for controllers with
+    /// if the stream's busy cycles or idle periods disagree with
+    /// [`SimStats`], or (for controllers with
     /// [`off_cycles_accounted`](GatingInvariants::off_cycles_accounted))
-    /// if the observed powered-off cycles disagree with the
-    /// controller's `gated + wakeup` counters.
-    pub fn finish(&self, stats: &SimStats, gating: &GatingReport) {
+    /// if the observed powered-off cycles, power-offs or completed
+    /// power-ons disagree with the controller's `gated + wakeup`
+    /// cycles, gate events or wakeups.
+    pub fn finish(&self, stats: &SimStats, gating: &GatingReport, powered: &[bool; NUM_DOMAINS]) {
         assert_eq!(
             self.next_cycle, stats.cycles,
             "sanitizer: sample stream covered {} cycles but the run took {}",
@@ -199,6 +232,42 @@ impl Sanitizer {
                     g.gated_cycles + g.wakeup_cycles,
                     "sanitizer: {d} powered-off cycles diverge between the \
                      sample stream and the controller's report"
+                );
+            }
+            let open = self.idle_run[di];
+            let h = &stats.units[di].idle_histogram;
+            assert_eq!(
+                (
+                    self.idle_periods[di] + u64::from(open > 0),
+                    self.idle_cycles[di] + open
+                ),
+                (h.periods(), h.idle_cycles()),
+                "sanitizer: {d} idle (periods, cycles) diverge between the \
+                 sample stream and the simulator's idle histogram"
+            );
+            if self.inv.off_cycles_accounted {
+                let g = gating.domain(d);
+                // The edge the last observation made, if any, is not in
+                // any sample yet.
+                let (mut off_edges, mut on_edges) = (self.off_edges[di], self.on_edges[di]);
+                match (self.off_run[di] > 0, powered[di]) {
+                    (false, false) => off_edges += 1,
+                    (true, true) => on_edges += 1,
+                    _ => {}
+                }
+                assert_eq!(
+                    off_edges, g.gate_events,
+                    "sanitizer: {d} power-offs in the sample stream diverge \
+                     from the controller's gate events"
+                );
+                // A domain still dark may be part-way through a wakeup
+                // the report already counts.
+                let in_progress = u64::from(!powered[di]);
+                assert!(
+                    (on_edges..=on_edges + in_progress).contains(&g.wakeups),
+                    "sanitizer: {d} completed power-ons in the sample stream \
+                     ({on_edges}) diverge from the controller's {} wakeups",
+                    g.wakeups
                 );
             }
         }
@@ -277,6 +346,7 @@ impl CycleObserver for Sanitizer {
 mod tests {
     use super::*;
     use crate::gate_iface::GateTransition;
+    use crate::stats::IdleHistogram;
 
     fn sample(cycle: u64, busy0: bool, powered0: bool) -> CycleSample {
         let mut busy = [false; NUM_DOMAINS];
@@ -460,10 +530,18 @@ mod tests {
 
         let mut stats = SimStats::new();
         stats.cycles = 3;
+        for d in DomainId::ALL {
+            // INT0 idles for the last two cycles, the rest for all three.
+            let idle = if d == DomainId::INT0 { 2 } else { 3 };
+            stats.units[d.index()].idle_histogram.record(idle);
+        }
         stats.units[DomainId::INT0.index()].busy_cycles = 1;
         let mut gating = GatingReport::new();
         gating.domain_mut(DomainId::INT0).gated_cycles = 2;
-        s.finish(&stats, &gating);
+        gating.domain_mut(DomainId::INT0).gate_events = 1;
+        let mut powered = [true; NUM_DOMAINS];
+        powered[DomainId::INT0.index()] = false;
+        s.finish(&stats, &gating, &powered);
     }
 
     #[test]
@@ -474,7 +552,7 @@ mod tests {
         let mut stats = SimStats::new();
         stats.cycles = 1;
         // Claims zero busy cycles for INT0: contradiction.
-        s.finish(&stats, &GatingReport::new());
+        s.finish(&stats, &GatingReport::new(), &[true; NUM_DOMAINS]);
     }
 
     #[test]
@@ -489,7 +567,81 @@ mod tests {
         s.observe(&sample(1, false, false));
         let mut stats = SimStats::new();
         stats.cycles = 2;
-        s.finish(&stats, &GatingReport::new()); // report says 0 gated cycles
+        s.finish(&stats, &GatingReport::new(), &[true; NUM_DOMAINS]); // report says 0 gated cycles
+    }
+
+    /// Stats and report consistent with `gated_then_waking`'s stream.
+    fn accounting_for_gated_then_waking() -> (SimStats, GatingReport) {
+        let mut stats = SimStats::new();
+        stats.cycles = 4;
+        for d in DomainId::ALL {
+            stats.units[d.index()].idle_histogram.record(4);
+        }
+        let mut gating = GatingReport::new();
+        let g = gating.domain_mut(DomainId::INT0);
+        g.gate_events = 1;
+        g.wakeups = 1;
+        g.gated_cycles = 2;
+        g.wakeup_cycles = 1;
+        (stats, gating)
+    }
+
+    /// INT0 idles throughout, goes dark at cycle 1 and is still waking
+    /// when the run ends.
+    fn gated_then_waking() -> Sanitizer {
+        let inv = GatingInvariants {
+            off_cycles_accounted: true,
+            ..GatingInvariants::default()
+        };
+        let mut s = Sanitizer::new(inv, DomainLayout::fermi());
+        s.observe(&sample(0, false, true));
+        for c in 1..4 {
+            s.observe(&sample(c, false, false));
+        }
+        s
+    }
+
+    #[test]
+    fn finish_allows_a_wakeup_in_progress() {
+        let (stats, gating) = accounting_for_gated_then_waking();
+        let mut powered = [true; NUM_DOMAINS];
+        powered[DomainId::INT0.index()] = false;
+        gated_then_waking().finish(&stats, &gating, &powered);
+    }
+
+    #[test]
+    fn finish_counts_the_edge_of_the_last_observation() {
+        // The wake completes at the last observation: no sample shows
+        // INT0 powered again, but the controller's state does.
+        let (stats, gating) = accounting_for_gated_then_waking();
+        gated_then_waking().finish(&stats, &gating, &[true; NUM_DOMAINS]);
+    }
+
+    #[test]
+    #[should_panic(expected = "completed power-ons")]
+    fn finish_catches_a_wakeup_that_never_started() {
+        let (stats, mut gating) = accounting_for_gated_then_waking();
+        gating.domain_mut(DomainId::INT0).wakeups = 0;
+        gated_then_waking().finish(&stats, &gating, &[true; NUM_DOMAINS]);
+    }
+
+    #[test]
+    #[should_panic(expected = "diverge from the controller's gate events")]
+    fn finish_catches_gate_event_divergence() {
+        let (stats, mut gating) = accounting_for_gated_then_waking();
+        gating.domain_mut(DomainId::INT0).gate_events = 2;
+        let mut powered = [true; NUM_DOMAINS];
+        powered[DomainId::INT0.index()] = false;
+        gated_then_waking().finish(&stats, &gating, &powered);
+    }
+
+    #[test]
+    #[should_panic(expected = "idle (periods, cycles) diverge")]
+    fn finish_catches_an_unclosed_idle_period() {
+        // The simulator forgot to close the trailing idle run of INT1.
+        let (mut stats, gating) = accounting_for_gated_then_waking();
+        stats.units[DomainId::INT1.index()].idle_histogram = IdleHistogram::new();
+        gated_then_waking().finish(&stats, &gating, &[true; NUM_DOMAINS]);
     }
 
     #[test]
@@ -500,6 +652,6 @@ mod tests {
         s.observe(&sample(1, false, true));
         let mut stats = SimStats::new();
         stats.cycles = 5;
-        s.finish(&stats, &GatingReport::new());
+        s.finish(&stats, &GatingReport::new(), &[true; NUM_DOMAINS]);
     }
 }

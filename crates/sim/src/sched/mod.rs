@@ -17,8 +17,8 @@ pub use gto::GtoScheduler;
 pub use lrr::LrrScheduler;
 pub use two_level::TwoLevelScheduler;
 
-use crate::domain::{DomainId, DomainLayout};
-use crate::exec::IssuePorts;
+use crate::domain::{mask_of, DomainId, DomainLayout, DomainMask, NUM_DOMAINS};
+use crate::exec::port_bits;
 use crate::warp::WarpSlot;
 use warped_isa::UnitType;
 
@@ -123,11 +123,15 @@ pub struct IssueCtx {
     issued: u128,
     /// Index of the first cluster SP steering probes this cycle.
     sp_start: usize,
-    domain_on: [bool; crate::domain::NUM_DOMAINS],
-    domain_busy: [bool; crate::domain::NUM_DOMAINS],
+    /// The layout's domains of each unit type.
+    unit_masks: [DomainMask; 4],
+    /// Domains powered this cycle.
+    powered: DomainMask,
+    /// Domains whose dispatch port is claimed this cycle (see
+    /// [`port_bits`]).
+    ports_used: DomainMask,
     active_subset: [u32; 4],
     ldst_load_credits: u32,
-    ports: IssuePorts,
     /// The cycle's issue decisions, for the owner to apply after
     /// [`WarpScheduler::pick`] returns.
     pub(crate) picks: Vec<Pick>,
@@ -136,7 +140,7 @@ pub struct IssueCtx {
     /// start of the cycle, decremented by each issue.
     ready_left: [u32; 4],
     /// Units proven unissuable for the rest of the cycle with every
-    /// cluster powered. Within a cycle `domain_on` is fixed and ports
+    /// cluster powered. Within a cycle `powered` is fixed and ports
     /// are only ever claimed, so once [`IssueCtx::try_issue`] fails for
     /// such a unit, every later attempt on it would fail identically
     /// and without side effects; the flag lets those attempts return
@@ -163,8 +167,7 @@ impl IssueCtx {
         cycle: u64,
         issue_width: usize,
         candidates: Vec<Candidate>,
-        domain_on: [bool; crate::domain::NUM_DOMAINS],
-        domain_busy: [bool; crate::domain::NUM_DOMAINS],
+        domain_on: [bool; NUM_DOMAINS],
         active_subset: [u32; 4],
         ldst_load_credits: u32,
     ) -> Self {
@@ -174,7 +177,6 @@ impl IssueCtx {
             issue_width,
             candidates,
             domain_on,
-            domain_busy,
             active_subset,
             ldst_load_credits,
         )
@@ -193,8 +195,7 @@ impl IssueCtx {
         cycle: u64,
         issue_width: usize,
         candidates: Vec<Candidate>,
-        domain_on: [bool; crate::domain::NUM_DOMAINS],
-        domain_busy: [bool; crate::domain::NUM_DOMAINS],
+        domain_on: [bool; NUM_DOMAINS],
         active_subset: [u32; 4],
         ldst_load_credits: u32,
     ) -> Self {
@@ -208,13 +209,7 @@ impl IssueCtx {
             );
             ctx.set_ready(slot, c.unit, c.is_global_load);
         }
-        ctx.reset_for_cycle(
-            cycle,
-            domain_on,
-            domain_busy,
-            active_subset,
-            ldst_load_credits,
-        );
+        ctx.reset_for_cycle(cycle, mask_of(&domain_on), active_subset, ldst_load_credits);
         ctx
     }
 
@@ -233,11 +228,11 @@ impl IssueCtx {
             ready_counts: [0; 4],
             issued: 0,
             sp_start: 0,
-            domain_on: [false; crate::domain::NUM_DOMAINS],
-            domain_busy: [false; crate::domain::NUM_DOMAINS],
+            unit_masks: UnitType::ALL.map(|u| layout.unit_mask(u)),
+            powered: 0,
+            ports_used: 0,
             active_subset: [0; 4],
             ldst_load_credits: 0,
-            ports: IssuePorts::default(),
             picks: Vec::with_capacity(issue_width),
             attempted_blocked: [0; 4],
             ready_left: [0; 4],
@@ -278,21 +273,19 @@ impl IssueCtx {
     /// Rearms the context for a new cycle in place: the ready bitmaps
     /// stay as the owner maintains them; everything per-cycle (issued
     /// bitmap, picks, ports, demand, working tally, steering start,
-    /// gating/busy/credit snapshot) resets.
+    /// powered/credit snapshot) resets.
     pub(crate) fn reset_for_cycle(
         &mut self,
         cycle: u64,
-        domain_on: [bool; crate::domain::NUM_DOMAINS],
-        domain_busy: [bool; crate::domain::NUM_DOMAINS],
+        powered: DomainMask,
         active_subset: [u32; 4],
         ldst_load_credits: u32,
     ) {
         self.cycle = cycle;
-        self.domain_on = domain_on;
-        self.domain_busy = domain_busy;
+        self.powered = powered;
         self.active_subset = active_subset;
         self.ldst_load_credits = ldst_load_credits;
-        self.ports = IssuePorts::default();
+        self.ports_used = 0;
         self.attempted_blocked = [0; 4];
         self.dead_units = [false; 4];
         self.ready_left = self.ready_counts;
@@ -337,7 +330,7 @@ impl IssueCtx {
     /// Remaining issue slots this cycle.
     #[must_use]
     pub fn width_left(&self) -> usize {
-        self.issue_width - self.ports.issued()
+        self.issue_width - self.picks.len()
     }
 
     /// Number of warps currently in the active subset of `unit`
@@ -360,10 +353,12 @@ impl IssueCtx {
     /// clusters are all in blackout.
     #[must_use]
     pub fn type_powered(&self, unit: UnitType) -> bool {
-        self.layout
-            .domains_of(unit)
-            .iter()
-            .any(|d| self.domain_on[d.index()])
+        self.powered & self.unit_masks[unit.index()] != 0
+    }
+
+    /// Whether some cluster of `unit` is gated or waking.
+    fn any_gated(&self, unit: UnitType) -> bool {
+        self.unit_masks[unit.index()] & !self.powered != 0
     }
 
     /// The domain an instruction of `unit` would dispatch to, if any.
@@ -375,14 +370,21 @@ impl IssueCtx {
     /// gating scheme the same free savings, erasing the differences the
     /// paper measures.) SFU and LDST have one domain each, so only the
     /// SP types rotate; their start is computed once per cycle.
+    ///
+    /// A unit's domains occupy consecutive mask bits, cluster 0 lowest,
+    /// so the rotation is "lowest free bit at or above the start
+    /// cluster, else lowest free bit" (a single-domain unit's one bit
+    /// satisfies either rule).
     fn accepting_domain(&self, unit: UnitType) -> Option<DomainId> {
-        let domains = self.layout.domains_of(unit);
-        let start = if domains.len() == 1 { 0 } else { self.sp_start };
-        domains[start..]
-            .iter()
-            .chain(&domains[..start])
-            .copied()
-            .find(|&d| self.domain_on[d.index()] && self.ports.port_free(d))
+        let unit_bits = self.unit_masks[unit.index()];
+        let free = u32::from(unit_bits & self.powered & !self.ports_used);
+        if free == 0 {
+            return None;
+        }
+        let from = unit_bits.trailing_zeros() as usize + self.sp_start;
+        let above = free & !((1 << from) - 1);
+        let bits = if above != 0 { above } else { free };
+        Some(DomainId::from_index(bits.trailing_zeros() as usize))
     }
 
     /// Registers wakeup demand for `unit` without an issue attempt.
@@ -393,12 +395,7 @@ impl IssueCtx {
     /// favoured type fills the full width. No-op when every cluster of
     /// the type is powered.
     pub fn request_wakeup(&mut self, unit: UnitType) {
-        let any_gated = self
-            .layout
-            .domains_of(unit)
-            .iter()
-            .any(|d| !self.domain_on[d.index()]);
-        if any_gated {
+        if self.any_gated(unit) {
             self.attempted_blocked[unit.index()] += 1;
         }
     }
@@ -440,12 +437,7 @@ impl IssueCtx {
             // peer is what's costing dual-issue bandwidth. If every
             // cluster is powered, the failure is purely structural (port
             // race) and wakes nothing.
-            let any_gated = self
-                .layout
-                .domains_of(unit)
-                .iter()
-                .any(|d| !self.domain_on[d.index()]);
-            if any_gated {
+            if self.any_gated(unit) {
                 self.attempted_blocked[unit.index()] += 1;
             } else {
                 // Fully powered yet nowhere to dispatch: the failure is
@@ -454,15 +446,17 @@ impl IssueCtx {
             }
             return false;
         };
-        self.ports.claim(domain);
+        debug_assert_eq!(
+            self.ports_used & domain.bit(),
+            0,
+            "double issue to {domain}"
+        );
+        self.ports_used |= port_bits(domain);
         self.issued |= bit;
         self.ready_left[unit.index()] -= 1;
         if is_global_load {
             self.ldst_load_credits -= 1;
         }
-        // An issue makes the target pipeline busy; later steering in the
-        // same cycle should see it as such.
-        self.domain_busy[domain.index()] = true;
         self.picks.push(Pick {
             slot: WarpSlot(slot),
             domain,
@@ -492,7 +486,7 @@ impl IssueCtx {
     #[cfg(test)]
     pub(crate) fn into_picks(self) -> (Vec<Pick>, [u32; 4], usize) {
         let demand = self.blocked_demand();
-        let issued = self.ports.issued();
+        let issued = self.picks.len();
         (self.picks, demand, issued)
     }
 
@@ -500,7 +494,7 @@ impl IssueCtx {
     /// `(blocked_demand, issued_count)`. The picks themselves stay in
     /// the context for the owner to apply.
     pub(crate) fn cycle_result(&self) -> ([u32; 4], usize) {
-        (self.blocked_demand(), self.ports.issued())
+        (self.blocked_demand(), self.picks.len())
     }
 }
 
@@ -557,15 +551,7 @@ pub(crate) mod test_util {
 
     /// Builds an issue context with everything powered and free.
     pub(crate) fn ctx_with(candidates: Vec<Candidate>) -> IssueCtx {
-        IssueCtx::new(
-            0,
-            2,
-            candidates,
-            [true; NUM_DOMAINS],
-            [false; NUM_DOMAINS],
-            [0; 4],
-            64,
-        )
+        IssueCtx::new(0, 2, candidates, [true; NUM_DOMAINS], [0; 4], 64)
     }
 
     pub(crate) fn cand(slot: usize, unit: UnitType) -> Candidate {
@@ -620,7 +606,6 @@ mod tests {
                 cand(2, UnitType::Fp),
             ],
             [true; NUM_DOMAINS],
-            [false; NUM_DOMAINS],
             [0; 4],
             64,
         );
@@ -639,7 +624,6 @@ mod tests {
             2,
             vec![cand(0, UnitType::Int), cand(1, UnitType::Fp)],
             on,
-            [false; NUM_DOMAINS],
             [0; 4],
             64,
         );
@@ -661,7 +645,6 @@ mod tests {
             2,
             vec![cand(0, UnitType::Int), cand(1, UnitType::Int)],
             on,
-            [false; NUM_DOMAINS],
             [0; 4],
             64,
         );
@@ -692,15 +675,7 @@ mod tests {
             unit: UnitType::Ldst,
             is_global_load: true,
         };
-        let mut ctx = IssueCtx::new(
-            0,
-            2,
-            vec![load],
-            [true; NUM_DOMAINS],
-            [false; NUM_DOMAINS],
-            [0; 4],
-            0,
-        );
+        let mut ctx = IssueCtx::new(0, 2, vec![load], [true; NUM_DOMAINS], [0; 4], 0);
         assert!(!ctx.try_issue(0));
         // MSHR exhaustion is a structural stall, not gating demand.
         let (_, demand, _) = ctx.into_picks();
@@ -715,7 +690,6 @@ mod tests {
                 2,
                 vec![cand(0, UnitType::Int)],
                 [true; NUM_DOMAINS],
-                [false; NUM_DOMAINS],
                 [0; 4],
                 64,
             );
@@ -781,7 +755,7 @@ mod tests {
         ctx.clear_ready(9);
         assert_eq!(ctx.ready(), 0);
         ctx.set_ready(3, UnitType::Fp, false);
-        ctx.reset_for_cycle(0, [true; NUM_DOMAINS], [false; NUM_DOMAINS], [0; 4], 0);
+        ctx.reset_for_cycle(0, DomainLayout::fermi().mask(), [0; 4], 0);
         assert_eq!(ctx.ready_count(UnitType::Ldst), 0);
         assert_eq!(ctx.ready_count(UnitType::Fp), 1);
     }

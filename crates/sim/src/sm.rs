@@ -1,7 +1,7 @@
 //! The streaming-multiprocessor cycle loop.
 
 use crate::config::SmConfig;
-use crate::domain::{DomainId, DomainLayout, NUM_DOMAINS};
+use crate::domain::{flags_of, mask_of, DomainId, DomainLayout, DomainMask, NUM_DOMAINS};
 use crate::exec::ExecUnits;
 use crate::gate_iface::{CycleObservation, GateTransition, GatingReport, PowerGating};
 use crate::gpu::LaunchConfig;
@@ -212,7 +212,12 @@ pub struct Sm {
     observer_enabled: bool,
     cycle: u64,
     stats: SimStats,
-    idle_runs: [u32; NUM_DOMAINS],
+    /// The busy mask the per-domain accounting last saw. Busy and idle
+    /// periods are integrated only when a bit flips (an issue into an
+    /// idle pipe or a pipe's last retirement), not counted per cycle.
+    acct_busy: DomainMask,
+    /// The cycle each domain's current busy or idle period began.
+    period_start: [u64; NUM_DOMAINS],
     warps_done: u64,
     /// Live (launched, unretired) warps, maintained so the done test
     /// is O(1) instead of a slot scan.
@@ -360,7 +365,8 @@ impl Sm {
             observer_enabled: false,
             cycle: 0,
             stats,
-            idle_runs: [0; NUM_DOMAINS],
+            acct_busy: 0,
+            period_start: [0; NUM_DOMAINS],
             warps_done: 0,
             live_warps: 0,
             refill_hint: true,
@@ -506,11 +512,8 @@ impl Sm {
             }
             self.step();
         }
-        // Close any idle periods still open at the end of the run.
-        for d in self.layout.all() {
-            let run = self.idle_runs[d.index()];
-            self.stats.units[d.index()].idle_histogram.record(run);
-        }
+        // Close the busy or idle period still open in every domain.
+        self.close_periods(self.layout.mask(), self.cycle);
         self.stats.warps_completed = self.warps_done;
         self.stats.heap_peak = self.clock.peak();
         // Drain trailing fills so the memory counters are complete (and
@@ -523,7 +526,8 @@ impl Sm {
         self.stats.mem = self.mem.stats_snapshot();
         let gating = self.gating.report();
         if let Some(s) = &self.sanitizer {
-            s.finish(&self.stats, &gating);
+            let powered = self.gating.powered_flags(self.layout.all());
+            s.finish(&self.stats, &gating, &powered);
         }
         SmOutcome {
             stats: self.stats,
@@ -607,9 +611,7 @@ impl Sm {
             self.stats.events_dispatched += events.len() as u64;
             for ev in events.drain(..) {
                 match ev {
-                    Event::PipeRetire { domain } => {
-                        self.units.pipe_mut(domain).retire();
-                    }
+                    Event::PipeRetire { domain } => self.units.retire(domain),
                     Event::Complete {
                         slot,
                         warp,
@@ -618,7 +620,7 @@ impl Sm {
                         retires,
                     } => {
                         if let Some(domain) = retires {
-                            self.units.pipe_mut(domain).retire();
+                            self.units.retire(domain);
                         }
                         if frees_mshr {
                             self.mem.complete_global_load();
@@ -701,13 +703,8 @@ impl Sm {
         // virtual dispatch for the whole layout, not one per domain).
         let domain_on = self.gating.powered_flags(self.layout.all());
         let ldst_credits = self.mem.load_credits(cycle);
-        self.ctx.reset_for_cycle(
-            cycle,
-            domain_on,
-            self.units.busy_flags(),
-            active_subset,
-            ldst_credits,
-        );
+        self.ctx
+            .reset_for_cycle(cycle, mask_of(&domain_on), active_subset, ldst_credits);
         self.scheduler.pick(&mut self.ctx);
         let (blocked_demand, issued_count) = self.ctx.cycle_result();
 
@@ -731,21 +728,14 @@ impl Sm {
             self.apply_issue(pick.slot, pick.domain);
         }
 
-        // Phase 5: busy/idle accounting for this cycle (active domains
-        // only: indices beyond the layout never execute anything).
-        let busy = self.units.busy_flags();
-        for d in self.layout.all() {
-            let d = d.index();
-            if busy[d] {
-                self.stats.units[d].busy_cycles += 1;
-                let run = self.idle_runs[d];
-                if run > 0 {
-                    self.stats.units[d].idle_histogram.record(run);
-                    self.idle_runs[d] = 0;
-                }
-            } else {
-                self.idle_runs[d] += 1;
-            }
+        // Phase 5: busy/idle accounting. Only domains whose busy bit
+        // flipped since the last accounted cycle close a period (domains
+        // beyond the layout never execute anything, so never flip).
+        let busy = self.units.busy_mask();
+        let flipped = busy ^ self.acct_busy;
+        if flipped != 0 {
+            self.close_periods(flipped, cycle);
+            self.acct_busy = busy;
         }
 
         // Phase 6: let the gating controller advance its state machines.
@@ -760,14 +750,10 @@ impl Sm {
         // All see the same sample; the sanitizer goes first so a
         // violation panics before anything records the poisoned cycle.
         if self.observer_enabled || self.sanitizer.is_some() || self.recorder.is_some() {
-            let mut powered = [false; NUM_DOMAINS];
-            for (p, on) in powered.iter_mut().zip(domain_on) {
-                *p = on;
-            }
             let sample = CycleSample {
                 cycle,
-                busy,
-                powered,
+                busy: flags_of(busy),
+                powered: domain_on,
                 issued: issued_count as u8,
                 active_warps: active_count,
             };
@@ -926,22 +912,11 @@ impl Sm {
         // accounting adds zero each cycle.
         self.stats.idle_issue_cycles += span;
 
-        // Phase 5: busy flags cannot change inside the span (a busy
-        // pipe's retire event would bound it), so busy domains extend
-        // their busy totals — their idle run is already closed — and
-        // idle domains extend their open run without recording any
-        // histogram period.
-        let busy = self.units.busy_flags();
-        let span_u32 = u32::try_from(span).unwrap_or(u32::MAX);
-        for d in self.layout.all() {
-            let d = d.index();
-            if busy[d] {
-                debug_assert_eq!(self.idle_runs[d], 0, "busy domain with open idle run");
-                self.stats.units[d].busy_cycles += span;
-            } else {
-                self.idle_runs[d] = self.idle_runs[d].saturating_add(span_u32);
-            }
-        }
+        // Phase 5 has nothing to do: busy flags cannot change inside the
+        // span (a busy pipe's retire event would bound it), so every
+        // domain's open busy or idle period simply runs on.
+        let busy = self.units.busy_mask();
+        debug_assert_eq!(busy, self.acct_busy, "busy edge left unaccounted");
 
         // Phase 6: advance the gating controller across the whole
         // span, capturing every power-state edge it makes.
@@ -973,7 +948,7 @@ impl Sm {
             let sample = SpanSample {
                 start_cycle: cycle,
                 cycles: span,
-                busy,
+                busy: flags_of(busy),
                 powered,
                 transitions: &transitions,
                 active_warps: 0,
@@ -1107,7 +1082,7 @@ impl Sm {
         // window the pre-bitmap scan had.
         self.dirty_bits |= 1u128 << slot.0;
 
-        self.units.pipe_mut(domain).issue();
+        self.units.issue(domain);
         self.stats.issued_by_type[instr.unit().index()] += 1;
         self.stats.units[domain.index()].issued += 1;
 
@@ -1128,6 +1103,27 @@ impl Sm {
                 retires: fused.then_some(domain),
             },
         );
+    }
+
+    /// Closes the open busy or idle period of every domain in `domains`
+    /// (layout domains only) at cycle `end` (exclusive) and starts the
+    /// next one there: a busy period adds its length to `busy_cycles`,
+    /// an idle period is one entry in the idle-period histogram.
+    fn close_periods(&mut self, domains: DomainMask, end: u64) {
+        let mut left = domains;
+        while left != 0 {
+            let d = left.trailing_zeros() as usize;
+            left &= left - 1;
+            let len = end - self.period_start[d];
+            let unit = &mut self.stats.units[d];
+            if self.acct_busy >> d & 1 == 1 {
+                unit.busy_cycles += len;
+            } else {
+                unit.idle_histogram
+                    .record(u32::try_from(len).unwrap_or(u32::MAX));
+            }
+            self.period_start[d] = end;
+        }
     }
 
     fn schedule(&mut self, delta: u32, ev: Event) {

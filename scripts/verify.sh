@@ -109,6 +109,24 @@ for study in kepler_study width_study; do
 done
 echo "kepler_study and width_study match the checked-in results byte for byte"
 
+step "figures gate (idle histograms, tuner epochs, gated-cycle split, non-default timing, bit-for-bit)"
+# The grids pin cycles only. These figures are built from the
+# accounting the per-cycle path integrates at edges: Figure 3 the idle
+# periods, Figure 6 the tuner's epochs and critical wakeups, Figure 8
+# the compensated and uncompensated cycles, Figure 11 non-default
+# idle-detect, break-even and wakeup-delay values. Each runs at its
+# results/collect.sh scale and must reproduce its checked-in table.
+for fig in fig03:1.0 fig06:0.5 fig08:1.0 fig11:0.5; do
+    name="${fig%%:*}"
+    cargo run --release -q -p warped-bench --bin "$name" -- --scale "${fig##*:}" \
+        >"$outdir/$name.txt"
+    if ! diff "results/$name.txt" "$outdir/$name.txt"; then
+        echo "verify: FAIL — $name diverged from results/$name.txt" >&2
+        exit 1
+    fi
+done
+echo "fig03, fig06, fig08 and fig11 match the checked-in results byte for byte"
+
 step "sanitized sweep (legacy fast-forward clock, invariant sanitizer armed)"
 # The reference ring clock keeps its own coverage: the sanitizer's
 # assert_quiet cross-check runs against both backends.

@@ -5,7 +5,7 @@
 use warped_gates_repro::gates::{AdaptiveIdleDetect, CoordinatedBlackoutPolicy};
 use warped_gates_repro::gating::{Controller, GatingParams};
 use warped_gates_repro::isa::UnitType;
-use warped_gates_repro::sim::{CycleObservation, DomainId, PowerGating, NUM_DOMAINS};
+use warped_gates_repro::sim::{CycleObservation, DomainId, PowerGating};
 
 /// Runs `cycles` of a stimulus that repeatedly gates the INT clusters
 /// and slams them with demand exactly at the break-even boundary,
@@ -27,7 +27,7 @@ fn critical_wakeup_storm(
         }
         ctl.observe(&CycleObservation {
             cycle,
-            busy: [false; NUM_DOMAINS],
+            busy: 0,
             blocked_demand: demand,
             active_subset: [2, 0, 0, 0],
         });
@@ -77,15 +77,11 @@ fn quiet_epochs_walk_the_window_back_down() {
     // domains active.
     let start = 20_000u64;
     for cycle in start..start + 40_000 {
-        let mut busy = [false; NUM_DOMAINS];
-        for d in DomainId::ALL {
-            busy[d.index()] = ctl.is_on(d);
-        }
-        let demand = if busy.iter().any(|b| *b) {
-            [0u32; 4]
-        } else {
-            [2u32; 4]
-        };
+        let busy = DomainId::ALL
+            .into_iter()
+            .filter(|d| ctl.is_on(*d))
+            .fold(0, |m, d| m | d.bit());
+        let demand = if busy != 0 { [0u32; 4] } else { [2u32; 4] };
         ctl.observe(&CycleObservation {
             cycle,
             busy,
@@ -126,7 +122,7 @@ fn static_window_stays_put_under_the_same_storm() {
         }
         fixed.observe(&CycleObservation {
             cycle,
-            busy: [false; NUM_DOMAINS],
+            busy: 0,
             blocked_demand: demand,
             active_subset: [2, 0, 0, 0],
         });

@@ -43,7 +43,7 @@ fn build_ctx(cands: &[RawCand], on: [bool; NUM_DOMAINS], actv: [u32; 4], credits
         }
     }
     list.sort_by_key(|c| c.slot.0);
-    IssueCtx::new(0, 2, list, on, [false; NUM_DOMAINS], actv, credits)
+    IssueCtx::new(0, 2, list, on, actv, credits)
 }
 
 /// Counts issued candidates per unit type and checks hard constraints.

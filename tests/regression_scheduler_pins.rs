@@ -132,15 +132,7 @@ fn top_ctx(slots: &[usize]) -> IssueCtx {
             is_global_load: false,
         })
         .collect();
-    IssueCtx::new(
-        0,
-        1,
-        cands,
-        [true; NUM_DOMAINS],
-        [false; NUM_DOMAINS],
-        [2, 0, 0, 0],
-        8,
-    )
+    IssueCtx::new(0, 1, cands, [true; NUM_DOMAINS], [2, 0, 0, 0], 8)
 }
 
 #[test]
