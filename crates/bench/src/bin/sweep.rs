@@ -18,7 +18,7 @@ use warped_bench::{exit_usage, workers_or_exit, ArgError};
 use warped_gates::CoreClock;
 
 const USAGE: &str = "[--scale <f in (0,1]>] [--jobs <n >= 1>] \
-[--core event-queue|fast-forward|stepped] [--resume] [--sanitize] \
+[--core event-queue|stepped] [--resume] [--sanitize] \
 [--mem-hierarchy] [--out-dir <dir>] [--timeout-secs <s > 0>] \
 [--chaos <i,j,...>] [--trace-cell <i>] [--trace-dir <dir of *.wgt1>]";
 
@@ -68,7 +68,7 @@ fn parse_args(args: &[String]) -> Result<SweepConfig, ArgError> {
                 config.core = CoreClock::parse(&v).map_err(|_| ArgError::BadValue {
                     flag: "--core".to_owned(),
                     value: v,
-                    expected: "event-queue, fast-forward, or stepped",
+                    expected: "event-queue or stepped",
                 })?;
                 i += 2;
             }

@@ -276,7 +276,9 @@ fn main() -> ExitCode {
     );
     println!(
         "  event core: {} events dispatched, queue peak {}, {} idle cycles skipped",
-        outcome.stats.events_dispatched, outcome.stats.heap_peak, outcome.stats.idle_cycles_skipped
+        outcome.stats.events_dispatched,
+        outcome.stats.heap_peak,
+        outcome.stats.fast_forwarded_cycles
     );
     let mem = outcome.stats.mem;
     if mem.hierarchy {

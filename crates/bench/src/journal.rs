@@ -7,10 +7,11 @@
 //! corruption an append-only writer can suffer — simply fails to parse
 //! and the cell it described re-runs on resume.
 //!
-//! Entries are keyed by the cell's global grid index *and* its label;
-//! [`load`] drops any entry whose label disagrees with the caller's
-//! expectation, which protects against resuming a journal written at a
-//! different scale or against a different grid shape.
+//! Entries carry the cell's global grid index, its label, and a key
+//! naming everything that determines its row (the cell's content
+//! fingerprint and the clock backend); the sweep reuses an entry only
+//! when all three match, so a journal written at a different scale,
+//! memory model, parameter set, clock or grid shape is never merged.
 
 use std::io::Write as _;
 use std::path::Path;
@@ -23,6 +24,9 @@ pub struct JournalEntry {
     pub index: usize,
     /// `"{benchmark}/{technique}"`, the row label in `bench_grid.json`.
     pub label: String,
+    /// What the row depends on: the cell fingerprint and the clock
+    /// backend (see `sweep::journal_key`).
+    pub key: String,
     /// Simulated cycles of the run.
     pub cycles: u64,
     /// Cycles covered by the event-driven fast-forward clock.
@@ -34,9 +38,10 @@ impl JournalEntry {
     #[must_use]
     pub fn to_line(&self) -> String {
         format!(
-            "{{\"index\":{},\"label\":\"{}\",\"cycles\":{},\"ff_cycles\":{}}}",
+            "{{\"index\":{},\"label\":\"{}\",\"key\":\"{}\",\"cycles\":{},\"ff_cycles\":{}}}",
             self.index,
             escape(&self.label),
+            escape(&self.key),
             self.cycles,
             self.ff_cycles
         )
@@ -49,6 +54,7 @@ impl JournalEntry {
         Some(JournalEntry {
             index: usize::try_from(v.get("index")?.as_u64()?).ok()?,
             label: v.get("label")?.as_str()?.to_owned(),
+            key: v.get("key")?.as_str()?.to_owned(),
             cycles: v.get("cycles")?.as_u64()?,
             ff_cycles: v.get("ff_cycles")?.as_u64()?,
         })
@@ -104,6 +110,7 @@ mod tests {
         JournalEntry {
             index: 42,
             label: "hotspot/Warped Gates".to_owned(),
+            key: "00000000deadbeef/event-queue".to_owned(),
             cycles: 123_456,
             ff_cycles: 7_890,
         }

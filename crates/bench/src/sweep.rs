@@ -21,6 +21,7 @@ use crate::write_json;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
+use warped_gates::fingerprint::cell_fingerprint;
 use warped_gates::runner::{self, GridJob, RunOutcome};
 use warped_gates::{CoreClock, Experiment};
 use warped_telemetry::json::escape;
@@ -37,10 +38,10 @@ pub struct SweepConfig {
     pub sanitize: bool,
     /// Reuse journaled cells instead of starting from scratch.
     pub resume: bool,
-    /// SM clock backend. All backends produce bit-identical grids (the
-    /// equivalence suite pins this down), so resuming a journal written
-    /// under a different backend is sound; only wall time differs,
-    /// which is why `bench_wall.json` totals are keyed per backend.
+    /// SM clock backend. Both backends produce bit-identical cycle
+    /// counts (the equivalence suite pins this down), but stepping
+    /// writes `ff_cycles = 0` and takes longer, so journal entries and
+    /// `bench_wall.json` totals are keyed per backend.
     pub core: CoreClock,
     /// Directory for `bench_grid.json`, the journal, and the failure
     /// manifest.
@@ -131,6 +132,28 @@ pub fn cell_label(job: &GridJob) -> String {
     format!("{}/{}", job.0.name, job.1.name())
 }
 
+/// The experiment every cell of a sweep runs under.
+fn experiment(config: &SweepConfig) -> Experiment {
+    Experiment::paper_defaults()
+        .with_scale(config.scale)
+        .with_sanitize(config.sanitize)
+        .with_job_timeout(config.job_timeout)
+        .with_core(config.core)
+        .with_memory_hierarchy(config.mem_hierarchy.clone())
+}
+
+/// The journal key of one cell: its content fingerprint (scale, memory
+/// model, gating parameters, spec and technique) plus the clock
+/// backend, which the fingerprint deliberately ignores but which moves
+/// the `ff_cycles` column.
+fn journal_key(experiment: &Experiment, job: &GridJob) -> String {
+    format!(
+        "{:016x}/{}",
+        cell_fingerprint(experiment, &job.0, job.1),
+        experiment.core().name()
+    )
+}
+
 /// The journal path inside an output directory.
 #[must_use]
 pub fn journal_path(out_dir: &Path) -> PathBuf {
@@ -193,7 +216,9 @@ pub fn run(config: &SweepConfig) -> std::io::Result<SweepSummary> {
 ///
 /// Panics if a chaos index is outside the grid or `workers` is zero.
 pub fn run_on(config: &SweepConfig, mut jobs: Vec<GridJob>) -> std::io::Result<SweepSummary> {
+    let experiment = experiment(config);
     let labels: Vec<String> = jobs.iter().map(cell_label).collect();
+    let keys: Vec<String> = jobs.iter().map(|j| journal_key(&experiment, j)).collect();
     let total = jobs.len();
     for &i in &config.chaos {
         assert!(i < total, "chaos index {i} outside the {total}-cell grid");
@@ -207,8 +232,9 @@ pub fn run_on(config: &SweepConfig, mut jobs: Vec<GridJob>) -> std::io::Result<S
     let mut done: BTreeMap<usize, JournalEntry> = BTreeMap::new();
     if config.resume {
         for entry in journal::load(&journal_file)? {
-            // Ignore entries from a different grid shape or labeling.
-            if labels.get(entry.index) == Some(&entry.label) {
+            // Ignore entries from a different grid shape, labeling,
+            // experiment or clock.
+            if labels.get(entry.index) == Some(&entry.label) && keys[entry.index] == entry.key {
                 done.insert(entry.index, entry);
             }
         }
@@ -231,13 +257,6 @@ pub fn run_on(config: &SweepConfig, mut jobs: Vec<GridJob>) -> std::io::Result<S
         );
     }
 
-    let experiment = Experiment::paper_defaults()
-        .with_scale(config.scale)
-        .with_sanitize(config.sanitize)
-        .with_job_timeout(config.job_timeout)
-        .with_core(config.core)
-        .with_memory_hierarchy(config.mem_hierarchy.clone());
-
     let sink = Mutex::new(
         std::fs::OpenOptions::new()
             .create(true)
@@ -256,6 +275,7 @@ pub fn run_on(config: &SweepConfig, mut jobs: Vec<GridJob>) -> std::io::Result<S
                 let entry = JournalEntry {
                     index: global,
                     label: labels[global].clone(),
+                    key: keys[global].clone(),
                     cycles: timed.run.cycles,
                     ff_cycles: timed.run.stats.fast_forwarded_cycles,
                 };
@@ -294,6 +314,7 @@ pub fn run_on(config: &SweepConfig, mut jobs: Vec<GridJob>) -> std::io::Result<S
                     JournalEntry {
                         index: global,
                         label: labels[global].clone(),
+                        key: keys[global].clone(),
                         cycles: timed.run.cycles,
                         ff_cycles: timed.run.stats.fast_forwarded_cycles,
                     },
@@ -410,12 +431,7 @@ pub fn load_trace_dir(dir: &Path) -> std::io::Result<Vec<std::sync::Arc<TraceWor
 /// loud failures).
 pub fn run_traces(config: &SweepConfig, dir: &Path) -> std::io::Result<usize> {
     let traces = load_trace_dir(dir)?;
-    let experiment = Experiment::paper_defaults()
-        .with_scale(config.scale)
-        .with_sanitize(config.sanitize)
-        .with_job_timeout(config.job_timeout)
-        .with_core(config.core)
-        .with_memory_hierarchy(config.mem_hierarchy.clone());
+    let experiment = experiment(config);
     let jobs = runner::trace_grid_of(&traces, &warped_gates::Technique::ALL);
     let runs = runner::run_trace_grid_with(&experiment, &jobs, config.workers);
     let rows: Vec<(String, Vec<f64>)> = jobs
@@ -481,13 +497,7 @@ pub fn trace_cell(config: &SweepConfig, index: usize) -> std::io::Result<PathBuf
         capacity: 1 << 20,
         epoch_len: 1000,
     });
-    let experiment = Experiment::paper_defaults()
-        .with_scale(config.scale)
-        .with_sanitize(config.sanitize)
-        .with_job_timeout(config.job_timeout)
-        .with_core(config.core)
-        .with_memory_hierarchy(config.mem_hierarchy.clone())
-        .with_telemetry(Some(recorder.clone()));
+    let experiment = experiment(config).with_telemetry(Some(recorder.clone()));
     let run = experiment.run(spec, *technique);
 
     // Bounded-chunk drain, then take() for the epoch/baseline metadata.
@@ -582,11 +592,11 @@ mod tests {
         // Re-sweeping under another backend adds its TOTAL without
         // clobbering the event-queue one.
         let mut ff = config.clone();
-        ff.core = CoreClock::FastForward;
+        ff.core = CoreClock::Stepped;
         assert!(run_on(&ff, tiny_grid()).unwrap().ok());
         let text = std::fs::read_to_string(wall_path(&config.out_dir)).unwrap();
         assert!(text.contains("TOTAL/event-queue"), "preserved: {text}");
-        assert!(text.contains("TOTAL/fast-forward"), "added: {text}");
+        assert!(text.contains("TOTAL/stepped"), "added: {text}");
 
         // A resumed (partial) sweep must not rewrite a full-sweep
         // total from a subset of cells.
@@ -674,6 +684,40 @@ mod tests {
         assert_eq!((resumed.reused, resumed.ran), (2, 2));
         let merged = std::fs::read(config.out_dir.join("bench_grid.json")).unwrap();
         assert_eq!(merged, reference, "resume must be bit-identical");
+        std::fs::remove_dir_all(&config.out_dir).ok();
+    }
+
+    #[test]
+    fn resume_of_a_different_experiment_or_clock_reruns_every_cell() {
+        let config = tiny_config("warped_sweep_resume_rescale_test");
+        let jobs = tiny_grid();
+        assert!(run_on(&config, jobs.clone()).unwrap().ok());
+
+        // Same out-dir, same grid shape and labels, another scale: no
+        // journaled row belongs to this grid.
+        let mut rescaled = config.clone();
+        rescaled.scale = 0.02;
+        rescaled.resume = true;
+        let summary = run_on(&rescaled, jobs.clone()).unwrap();
+        assert!(summary.ok());
+        assert_eq!((summary.reused, summary.ran), (0, 4));
+        let resumed = std::fs::read(config.out_dir.join("bench_grid.json")).unwrap();
+        let fresh_config = SweepConfig {
+            resume: false,
+            ..rescaled.clone()
+        };
+        assert!(run_on(&fresh_config, jobs.clone()).unwrap().ok());
+        let fresh = std::fs::read(config.out_dir.join("bench_grid.json")).unwrap();
+        assert_eq!(resumed, fresh, "a resumed rescale equals a fresh sweep");
+
+        // Stepping writes ff_cycles = 0, so the clock is part of the key.
+        let mut stepped = rescaled;
+        stepped.core = CoreClock::Stepped;
+        let summary = run_on(&stepped, jobs.clone()).unwrap();
+        assert_eq!((summary.reused, summary.ran), (0, 4));
+        // ... and a second stepped resume reuses what the first wrote.
+        let summary = run_on(&stepped, jobs).unwrap();
+        assert_eq!((summary.reused, summary.ran), (4, 0));
         std::fs::remove_dir_all(&config.out_dir).ok();
     }
 

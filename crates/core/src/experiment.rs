@@ -7,21 +7,19 @@ use warped_sim::{DomainLayout, Sm};
 use warped_trace::TraceWorkload;
 use warped_workloads::BenchmarkSpec;
 
-/// Which clock backend (and skip policy) the SM cores run under.
+/// Whether the SM cores skip stall regions or step every cycle.
 ///
-/// Every variant produces bit-identical simulation outcomes — the
-/// equivalence is enforced by the `prop_fast_forward` three-way suite
-/// and the grid regression gate — so the choice is purely a speed/
+/// Both variants produce bit-identical simulation outcomes — the
+/// equivalence is enforced by the `prop_fast_forward` suite and the
+/// grid regression gate — apart from the skip counters themselves
+/// (`ff_cycles` reads 0 when stepping). The choice is a speed/
 /// reference trade.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CoreClock {
-    /// The discrete-event core: a time-ordered event queue with idle
-    /// spans popped off the heap. The default.
+    /// The discrete-event core: stall regions are jumped in one step,
+    /// up to the next event on the SM's event wheel. The default.
     #[default]
     EventQueue,
-    /// The ring-backed fast-forward clock (scan the event ring for the
-    /// next event, maybe skip). Kept as the legacy reference.
-    FastForward,
     /// Per-cycle stepping with no skipping at all — the slowest,
     /// simplest reference implementation.
     Stepped,
@@ -29,12 +27,12 @@ pub enum CoreClock {
 
 impl CoreClock {
     /// `(event_queue, fast_forward)` flags for
-    /// [`SmConfig`](warped_sim::SmConfig).
+    /// [`SmConfig`](warped_sim::SmConfig). Only the second one is read
+    /// by the simulator (see [`SmConfig::event_queue`](warped_sim::SmConfig)).
     #[must_use]
     pub fn sm_flags(self) -> (bool, bool) {
         match self {
             CoreClock::EventQueue => (true, true),
-            CoreClock::FastForward => (false, true),
             CoreClock::Stepped => (false, false),
         }
     }
@@ -44,7 +42,6 @@ impl CoreClock {
     pub fn name(self) -> &'static str {
         match self {
             CoreClock::EventQueue => "event-queue",
-            CoreClock::FastForward => "fast-forward",
             CoreClock::Stepped => "stepped",
         }
     }
@@ -57,10 +54,9 @@ impl CoreClock {
     pub fn parse(s: &str) -> Result<Self, String> {
         match s {
             "event-queue" => Ok(CoreClock::EventQueue),
-            "fast-forward" => Ok(CoreClock::FastForward),
             "stepped" => Ok(CoreClock::Stepped),
             other => Err(format!(
-                "unknown core clock '{other}' (expected event-queue, fast-forward, or stepped)"
+                "unknown core clock '{other}' (expected event-queue or stepped)"
             )),
         }
     }

@@ -289,11 +289,7 @@ mod tests {
             plain, sanitized,
             "sanitizer and watchdog are bit-identity no-ops and must share cache lines"
         );
-        for core in [
-            crate::CoreClock::EventQueue,
-            crate::CoreClock::FastForward,
-            crate::CoreClock::Stepped,
-        ] {
+        for core in [crate::CoreClock::EventQueue, crate::CoreClock::Stepped] {
             assert_eq!(
                 plain,
                 cell_fingerprint(&exp.clone().with_core(core), &spec, Technique::Gates),

@@ -11,9 +11,7 @@
 
 use crate::machine::GateState;
 use crate::params::GatingParams;
-use warped_sim::{
-    CycleObservation, DomainId, DomainLayout, GateTransition, GatingReport, PowerGating,
-};
+use warped_sim::{CycleObservation, DomainId, DomainLayout, GatingReport, PowerGating};
 
 /// Coarse-grained, SM-level power gating.
 ///
@@ -136,96 +134,6 @@ impl PowerGating for SmCoarseGating {
         };
     }
 
-    /// Advances the shared state machine through `cycles` repeats of
-    /// `obs` in closed form wherever possible.
-    ///
-    /// With a single state machine and no epochs the segmentation is
-    /// simple: a segment ends where the shared class could change (the
-    /// idle-detect threshold, a demand-driven wake, or the end of the
-    /// wakeup countdown); the boundary observation runs through
-    /// [`Self::observe`] so the result is bit-equal to per-cycle
-    /// stepping. Since the whole SM shares one state, `is_on` flips for
-    /// every domain at once and transitions are emitted for the full
-    /// layout.
-    fn fast_forward(
-        &mut self,
-        obs: &CycleObservation,
-        cycles: u64,
-        transitions: &mut Vec<GateTransition>,
-    ) {
-        let bet = self.params.bet;
-        let any_busy = obs.busy != 0;
-        let any_demand = obs.blocked_demand.iter().any(|d| *d > 0);
-        let mut done: u64 = 0;
-        while done < cycles {
-            let horizon = match self.state {
-                GateState::Active { idle_run } => {
-                    if any_busy {
-                        u64::MAX
-                    } else {
-                        u64::from(self.params.idle_detect).saturating_sub(u64::from(idle_run) + 1)
-                    }
-                }
-                GateState::Gated { .. } => {
-                    if any_demand {
-                        0
-                    } else {
-                        u64::MAX
-                    }
-                }
-                GateState::Waking { left } => u64::from(left) - 1,
-            };
-            let bulk = (cycles - done).min(horizon);
-            if bulk > 0 {
-                let add = u32::try_from(bulk).unwrap_or(u32::MAX);
-                match self.state {
-                    GateState::Active { idle_run } => {
-                        self.state = GateState::Active {
-                            idle_run: if any_busy {
-                                0
-                            } else {
-                                idle_run.saturating_add(add)
-                            },
-                        };
-                    }
-                    GateState::Gated { elapsed } => {
-                        let uncomp = bulk.min(u64::from(bet.saturating_sub(elapsed)));
-                        self.bump_all(|s| {
-                            s.gated_cycles += bulk;
-                            s.uncompensated_cycles += uncomp;
-                            s.compensated_cycles += bulk - uncomp;
-                        });
-                        self.state = GateState::Gated {
-                            elapsed: elapsed.saturating_add(add),
-                        };
-                    }
-                    GateState::Waking { left } => {
-                        self.bump_all(|s| s.wakeup_cycles += bulk);
-                        self.state = GateState::Waking { left: left - add };
-                    }
-                }
-                done += bulk;
-            }
-            if done < cycles {
-                let was_on = self.state.is_on();
-                self.observe(&CycleObservation {
-                    cycle: obs.cycle + done,
-                    ..*obs
-                });
-                if self.state.is_on() != was_on {
-                    for d in self.layout.all() {
-                        transitions.push(GateTransition {
-                            offset: done + 1,
-                            domain: *d,
-                            powered: self.state.is_on(),
-                        });
-                    }
-                }
-                done += 1;
-            }
-        }
-    }
-
     fn report(&self) -> GatingReport {
         self.report.clone()
     }
@@ -238,6 +146,7 @@ impl PowerGating for SmCoarseGating {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use warped_sim::GateTransition;
 
     fn obs(busy_domain: Option<DomainId>, demand: bool) -> CycleObservation {
         let busy = busy_domain.map_or(0, DomainId::bit);
@@ -325,14 +234,15 @@ mod tests {
                     ..span
                 });
                 if slow.state().is_on() != was_on {
-                    for d in DomainId::ALL {
-                        if DomainLayout::fermi().contains(d) {
-                            want.push(GateTransition {
-                                offset: k + 1,
-                                domain: d,
-                                powered: slow.state().is_on(),
-                            });
-                        }
+                    // The whole SM shares one state: every domain index
+                    // flips, in or out of the layout (the SM drops
+                    // out-of-layout edges before its observers see them).
+                    for i in 0..warped_sim::NUM_DOMAINS {
+                        want.push(GateTransition {
+                            offset: k + 1,
+                            domain: DomainId::from_index(i),
+                            powered: slow.state().is_on(),
+                        });
                     }
                 }
             }

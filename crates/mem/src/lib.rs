@@ -147,7 +147,7 @@ impl HierarchyConfig {
 
     /// Upper bound on the latency of any single load issued through the
     /// hierarchy, including worst-case DRAM queueing. The simulator
-    /// sizes its event ring from this, so it must be a true bound.
+    /// sizes its event wheel from this, so it must be a true bound.
     #[must_use]
     pub fn worst_case_latency(&self) -> u32 {
         // Every in-flight DRAM fetch is a sector of a live L2 MSHR

@@ -6,7 +6,7 @@
 
 use crate::params::PowerParams;
 use warped_isa::UnitType;
-use warped_sim::trace::{CycleObserver, CycleSample, SpanSample};
+use warped_sim::trace::{CycleObserver, CycleSample};
 use warped_sim::{DomainLayout, NUM_DOMAINS};
 
 /// One epoch's integrated energy for a single unit type.
@@ -174,81 +174,12 @@ impl CycleObserver for EnergyTimeline {
             self.cycles_in_epoch = 0;
         }
     }
-
-    /// Integrates a fast-forwarded span segment by segment instead of
-    /// cycle by cycle.
-    ///
-    /// Segments are bounded by gate transitions and epoch closures;
-    /// within a segment the powered flags are constant, so the leakage
-    /// integral is a cycle count times the per-cluster coefficient.
-    /// Gate-entry overhead is charged exactly where per-cycle stepping
-    /// would charge it: at each powered→unpowered transition inside the
-    /// span, and at span entry when the last observed sample predates
-    /// the gating decision that opened the span. With the default
-    /// normalized coefficients (1.0 per leakage-cycle) every accumulator
-    /// holds integer values and the result is bit-identical to per-cycle
-    /// delivery; non-integer coefficients agree to within f64 rounding.
-    fn observe_span(&mut self, span: &SpanSample<'_>) {
-        let p = self.params.static_power_per_cluster;
-        let overhead = self.params.gate_event_overhead(self.bet);
-        let mut powered = span.powered;
-        if let Some(prev) = &self.prev_powered {
-            for unit in [UnitType::Int, UnitType::Fp] {
-                for d in self.layout.domains_of(unit) {
-                    let di = d.index();
-                    if prev[di] && !powered[di] {
-                        self.current[unit.index()].overhead += overhead;
-                    }
-                }
-            }
-        }
-        let mut next = 0;
-        let mut k: u64 = 0;
-        while k < span.cycles {
-            while next < span.transitions.len() && span.transitions[next].offset <= k {
-                let t = &span.transitions[next];
-                let di = t.domain.index();
-                let was = powered[di];
-                powered[di] = t.powered;
-                if was && !t.powered && t.domain.is_cuda_core() && self.layout.contains(t.domain) {
-                    self.current[t.domain.unit().index()].overhead += overhead;
-                }
-                next += 1;
-            }
-            let until_transition = if next < span.transitions.len() {
-                span.transitions[next].offset - k
-            } else {
-                span.cycles - k
-            };
-            let seg = (span.cycles - k)
-                .min(until_transition)
-                .min(self.epoch_len - self.cycles_in_epoch);
-            for unit in [UnitType::Int, UnitType::Fp] {
-                let mut clusters: u64 = 0;
-                let mut on: u64 = 0;
-                for d in self.layout.domains_of(unit) {
-                    clusters += 1;
-                    on += u64::from(powered[d.index()]);
-                }
-                let slot = &mut self.current[unit.index()];
-                slot.always_on_static += (seg * clusters) as f64 * p;
-                slot.static_energy += (seg * on) as f64 * p;
-            }
-            self.cycles_in_epoch += seg;
-            if self.cycles_in_epoch == self.epoch_len {
-                self.epochs.push(self.current);
-                self.current = [EpochEnergy::default(); 4];
-                self.cycles_in_epoch = 0;
-            }
-            k += seg;
-        }
-        self.prev_powered = Some(powered);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use warped_sim::trace::SpanSample;
     use warped_sim::DomainId;
 
     fn sample(powered_int0: bool) -> CycleSample {

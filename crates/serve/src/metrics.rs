@@ -44,7 +44,8 @@ pub struct Metrics {
     /// simulations.
     pub heap_peak: AtomicU64,
     /// Idle cycles the event-queue core jumped over instead of
-    /// stepping, across all fresh simulations.
+    /// stepping ([`SimStats::fast_forwarded_cycles`](warped_sim::SimStats)),
+    /// across all fresh simulations.
     pub idle_cycles_skipped: AtomicU64,
     /// Connections refused with a `503` because the dispatch queue
     /// was full (load shedding instead of blocking the acceptor).
@@ -101,7 +102,7 @@ impl Metrics {
             .fetch_add(stats.events_dispatched, Ordering::Relaxed);
         self.heap_peak.fetch_max(stats.heap_peak, Ordering::Relaxed);
         self.idle_cycles_skipped
-            .fetch_add(stats.idle_cycles_skipped, Ordering::Relaxed);
+            .fetch_add(stats.fast_forwarded_cycles, Ordering::Relaxed);
         // Memory-hierarchy counters stay zero while every request uses
         // the flat latency model, so scrapers see a stable series set.
         let mem = &stats.mem;
@@ -386,7 +387,7 @@ mod tests {
         let mut stats = warped_sim::SimStats {
             events_dispatched: 40,
             heap_peak: 7,
-            idle_cycles_skipped: 9,
+            fast_forwarded_cycles: 9,
             ..Default::default()
         };
         // Flat-model runs leave every mem series untouched even with
@@ -408,7 +409,7 @@ mod tests {
             ..Default::default()
         };
         stats.events_dispatched = 0;
-        stats.idle_cycles_skipped = 0;
+        stats.fast_forwarded_cycles = 0;
         stats.heap_peak = 0;
         m.record_core_counters(&stats);
         stats.mem.mshr_peak = 2; // lower MSHR peak must not regress either

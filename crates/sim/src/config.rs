@@ -112,15 +112,12 @@ pub struct SmConfig {
     /// bit-equal either way — so this stays on outside of equivalence
     /// tests that force per-cycle stepping.
     pub fast_forward: bool,
-    /// Whether the SM's future-event schedule is backed by the
-    /// time-ordered event queue (a stable binary heap,
-    /// [`TimeQ`](crate::timeq::TimeQ)) instead of the cyclic event
-    /// ring. Both backends hold the same pending events and drain them
-    /// in the same order, so outcomes are bit-equal either way; the
-    /// queue answers "when is the next event?" in O(1), which is what
-    /// makes fast-forward spans (and the discrete-event core generally)
-    /// cheap. On by default; the ring is kept as the reference clock
-    /// for equivalence tests.
+    /// Read by nothing: the SM always keeps its schedule in the event
+    /// wheel ([`TimeQ`](crate::timeq::TimeQ)), and whether it skips
+    /// stall regions is [`SmConfig::fast_forward`]'s call alone. The
+    /// field stays because the benchmark harness and
+    /// `CoreClock::sm_flags` in `warped-gates` still assign it; it goes
+    /// when cycle skipping itself is removed.
     pub event_queue: bool,
     /// Whether to run the gating invariant sanitizer
     /// ([`Sanitizer`](crate::Sanitizer)) alongside the simulation:

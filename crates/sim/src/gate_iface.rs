@@ -205,8 +205,10 @@ pub trait PowerGating {
     /// The default implementation simply loops `observe` and diffs
     /// `is_on`, which is always correct. It is also fast for a
     /// controller whose `observe` does no work on a quiet cycle, as the
-    /// deadline-driven `warped_gating::Controller` does; the whole-SM
-    /// coarse controller overrides it with a closed form.
+    /// deadline-driven `warped_gating::Controller` does, or whose
+    /// `observe` is a single shared state machine, as the whole-SM
+    /// coarse controller's is; every controller in the workspace uses
+    /// it.
     fn fast_forward(
         &mut self,
         obs: &CycleObservation,

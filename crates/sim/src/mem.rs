@@ -343,7 +343,7 @@ impl MemorySubsystem {
     }
 
     /// Upper bound on the latency any global load can experience, used
-    /// by the simulator to size its event ring.
+    /// by the simulator to size its event wheel.
     #[must_use]
     pub fn worst_case_latency(&self) -> u32 {
         match &self.hier {

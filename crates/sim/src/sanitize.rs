@@ -326,8 +326,7 @@ impl CycleObserver for Sanitizer {
 
         // Conservation cross-check: the closed-form walk must land in
         // exactly the state the per-cycle expansion produces — the same
-        // contract every `observe_span` override (e.g. the energy
-        // timeline's closed-form integration) is held to.
+        // contract every `observe_span` override is held to.
         if let Some(mut reference) = reference {
             span.for_each_cycle(|s| reference.observe(s));
             assert_eq!(

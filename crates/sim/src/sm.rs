@@ -13,11 +13,29 @@ use crate::stats::SimStats;
 use crate::timeq::TimeQ;
 use crate::trace::{CycleObserver, CycleSample, NullObserver, SpanSample};
 use crate::warp::{Warp, WarpClass, WarpId, WarpSlot};
-use warped_isa::{Kernel, MemSpace, Opcode, Reg, UnitType};
+use warped_isa::{Instruction, Kernel, MemSpace, Opcode, Reg, UnitType};
 
 /// Occupancy of the LD/ST pipeline per memory instruction, in cycles
 /// (address generation and coalescing window).
 const LDST_PIPE_OCCUPANCY: u32 = 4;
+
+/// Cycles the event wheel must cover: the longest delay [`Sm::schedule`]
+/// can receive — a global load's worst case, the shared-memory latency,
+/// the kernel's longest pipeline latency, or the LD/ST pipe occupancy —
+/// plus 64 cycles of slack.
+fn event_horizon(mem: &MemorySubsystem, kernel: &Kernel) -> usize {
+    let longest = kernel
+        .iter()
+        .map(Instruction::latency)
+        .chain([
+            mem.worst_case_latency(),
+            mem.shared_latency(),
+            LDST_PIPE_OCCUPANCY,
+        ])
+        .max()
+        .unwrap_or(LDST_PIPE_OCCUPANCY);
+    longest as usize + 64
+}
 
 /// Sentinel for a slot contributing nothing to the active-subset counts.
 const NO_CONTRIB: u8 = u8::MAX;
@@ -41,136 +59,6 @@ enum Event {
         /// adjacent same-cycle events into one scheduled event.
         retires: Option<DomainId>,
     },
-}
-
-/// Storage backing the SM's future-event schedule.
-///
-/// Both variants hold the same multiset of pending events and drain a
-/// cycle's events in the same order (the wheel's per-slot FIFO equals
-/// the ring's; see [`TimeQ`]), so every simulation outcome is
-/// bit-identical between them; only the cost model differs. The ring
-/// pays O(1) per schedule but O(distance to next event) to answer "when
-/// does something next happen?"; the time wheel pays the same O(1) per
-/// schedule and answers that question from its occupancy bitmap (a few
-/// word scans, independent of the gap length) — the discrete-event
-/// behaviour [`SmConfig::event_queue`] selects.
-enum EventClock {
-    /// The cyclic event ring, kept as the reference clock.
-    Ring(Vec<Vec<Event>>),
-    /// The time-ordered event queue (discrete-event core).
-    Queue(TimeQ<Event>),
-}
-
-impl EventClock {
-    /// Whether any event is scheduled for `cycle`.
-    fn has_due(&self, cycle: u64) -> bool {
-        match self {
-            EventClock::Ring(slots) => !slots[(cycle as usize) & (slots.len() - 1)].is_empty(),
-            EventClock::Queue(q) => q.has_due(cycle),
-        }
-    }
-
-    /// Removes and returns the events scheduled for `cycle`, in
-    /// schedule order. Hand the drained buffer back through
-    /// [`EventClock::restore`] so its capacity is reused.
-    fn take_due(&mut self, cycle: u64) -> Vec<Event> {
-        match self {
-            EventClock::Ring(slots) => {
-                let idx = (cycle as usize) & (slots.len() - 1);
-                std::mem::take(&mut slots[idx])
-            }
-            EventClock::Queue(q) => q.take_due(cycle),
-        }
-    }
-
-    /// Returns the (drained) buffer taken by [`EventClock::take_due`].
-    fn restore(&mut self, cycle: u64, buf: Vec<Event>) {
-        debug_assert!(buf.is_empty());
-        match self {
-            EventClock::Ring(slots) => {
-                let idx = (cycle as usize) & (slots.len() - 1);
-                slots[idx] = buf;
-            }
-            EventClock::Queue(q) => q.restore(cycle, buf),
-        }
-    }
-
-    /// Schedules `ev` for `delta` cycles after `cycle`.
-    fn schedule(&mut self, cycle: u64, delta: u32, ev: Event) {
-        debug_assert!(delta > 0, "events must land in a future cycle");
-        match self {
-            EventClock::Ring(slots) => {
-                assert!(
-                    (delta as usize) < slots.len(),
-                    "event latency {delta} exceeds ring capacity {}",
-                    slots.len()
-                );
-                let idx = ((cycle + u64::from(delta)) as usize) & (slots.len() - 1);
-                slots[idx].push(ev);
-            }
-            EventClock::Queue(q) => q.push(cycle + u64::from(delta), ev),
-        }
-    }
-
-    /// Cycles from `cycle` (exclusive) to the next scheduled event,
-    /// clipped to `horizon`; `horizon` when nothing is pending (the
-    /// ring is sized so every in-flight event lives within one lap, so
-    /// an empty lap means an empty schedule). The caller has already
-    /// established that no event is due at `cycle` itself.
-    fn next_event_delta(&self, cycle: u64, horizon: u64) -> u64 {
-        match self {
-            EventClock::Ring(slots) => {
-                let mask = slots.len() - 1;
-                (1..slots.len() as u64)
-                    .find(|j| !slots[((cycle + j) as usize) & mask].is_empty())
-                    .map_or(horizon, |j| j.min(horizon))
-            }
-            EventClock::Queue(q) => q.next_cycle().map_or(horizon, |c| (c - cycle).min(horizon)),
-        }
-    }
-
-    /// Sanitizer re-derivation of [`EventClock::next_event_delta`]:
-    /// panics if any event is scheduled strictly inside
-    /// `(cycle, cycle + span)` — fast-forwarding over it would silently
-    /// skip a scheduled writeback or retire.
-    fn assert_quiet(&self, cycle: u64, span: u64) {
-        match self {
-            EventClock::Ring(slots) => {
-                let mask = slots.len() - 1;
-                let check = span.min(slots.len() as u64);
-                for j in 1..check {
-                    assert!(
-                        slots[((cycle + j) as usize) & mask].is_empty(),
-                        "sanitizer: fast-forward over a pending event at cycle {}",
-                        cycle + j
-                    );
-                }
-            }
-            EventClock::Queue(q) => {
-                // Linear scan over the backing storage, independent of
-                // the heap order the peek-based span derivation used.
-                if let Some(min) = q.min_cycle_by_scan() {
-                    assert!(
-                        min >= cycle + span,
-                        "sanitizer: fast-forward over a pending event at cycle {min}"
-                    );
-                }
-            }
-        }
-    }
-
-    /// High-water mark of pending events (queue clock only; the ring
-    /// does not track one).
-    fn peak(&self) -> u64 {
-        match self {
-            EventClock::Ring(_) => 0,
-            EventClock::Queue(q) => q.peak() as u64,
-        }
-    }
-
-    fn is_queue(&self) -> bool {
-        matches!(self, EventClock::Queue { .. })
-    }
 }
 
 /// The outcome of simulating one SM to completion.
@@ -203,7 +91,9 @@ pub struct Sm {
     mem: MemorySubsystem,
     scheduler: Box<dyn WarpScheduler>,
     gating: Box<dyn PowerGating>,
-    clock: EventClock,
+    /// The future-event schedule: a bounded time wheel sized in
+    /// [`Sm::new`] past every delay [`Sm::schedule`] can receive.
+    events: TimeQ<Event>,
     observer: Box<dyn CycleObserver>,
     /// Whether a real observer is installed. The default
     /// [`NullObserver`] ignores every sample, so the per-cycle tap
@@ -318,16 +208,7 @@ impl Sm {
         );
         let warps_per_wave = total_warps.div_ceil(waves);
         let mem = MemorySubsystem::new(config.memory.clone());
-        // Both clocks size their near storage one lap past the longest
-        // latency anything schedules, so every push is O(1) (the
-        // wheel's far heap stays empty; the ring asserts it).
-        let horizon = mem.worst_case_latency() as usize + 64;
-        let clock = if config.event_queue {
-            EventClock::Queue(TimeQ::with_horizon(horizon))
-        } else {
-            let ring_len = horizon.next_power_of_two();
-            EventClock::Ring((0..ring_len).map(|_| Vec::new()).collect())
-        };
+        let events = TimeQ::with_horizon(event_horizon(&mem, &kernel));
         let slots = (0..config.max_resident_warps).map(|_| None).collect();
         let layout = DomainLayout::new(config.sp_clusters);
         let mut stats = SimStats::new();
@@ -360,7 +241,7 @@ impl Sm {
             mem,
             scheduler,
             gating,
-            clock,
+            events,
             observer: Box::new(NullObserver),
             observer_enabled: false,
             cycle: 0,
@@ -515,7 +396,7 @@ impl Sm {
         // Close the busy or idle period still open in every domain.
         self.close_periods(self.layout.mask(), self.cycle);
         self.stats.warps_completed = self.warps_done;
-        self.stats.heap_peak = self.clock.peak();
+        self.stats.heap_peak = self.events.peak() as u64;
         // Drain trailing fills so the memory counters are complete (and
         // identical whether or not the sanitizer runs its own draining
         // conservation check).
@@ -606,8 +487,8 @@ impl Sm {
         let cycle = self.cycle;
 
         // Phase 1: writebacks and retires scheduled for this cycle.
-        if self.clock.has_due(cycle) {
-            let mut events = self.clock.take_due(cycle);
+        if self.events.has_due(cycle) {
+            let mut events = self.events.take_due(cycle);
             self.stats.events_dispatched += events.len() as u64;
             for ev in events.drain(..) {
                 match ev {
@@ -641,7 +522,7 @@ impl Sm {
             // Hand the (drained) event buffer back to the clock so its
             // capacity is reused; nothing schedules into the current
             // cycle.
-            self.clock.restore(cycle, events);
+            self.events.restore(cycle, events);
         }
 
         // Phase 2: reclassify warps whose inputs changed since the last
@@ -800,7 +681,7 @@ impl Sm {
         if self.active_bits != 0 || self.finished_bits != 0 {
             return false;
         }
-        if self.clock.has_due(self.cycle) {
+        if self.events.has_due(self.cycle) {
             return false;
         }
         if self.releasable != 0 {
@@ -816,7 +697,10 @@ impl Sm {
         // nothing can ever change and per-cycle stepping would idle
         // its way to the cycle cap, so jump straight there.
         let horizon = self.config.max_cycles - self.cycle;
-        let span = self.clock.next_event_delta(self.cycle, horizon);
+        let span = self
+            .events
+            .next_cycle()
+            .map_or(horizon, |c| (c - self.cycle).min(horizon));
         // The scheduler must be able to replay `span` empty picks in
         // closed form; a veto (default for unknown schedulers) leaves
         // all state untouched and falls back to per-cycle stepping
@@ -828,8 +712,15 @@ impl Sm {
         if self.sanitizer.is_some() {
             // Independent re-derivation of the jump distance: no event
             // may be scheduled inside the span, or fast-forward would
-            // silently skip a scheduled writeback or retire.
-            self.clock.assert_quiet(self.cycle, span);
+            // silently skip a scheduled writeback or retire. The scan
+            // walks the wheel slots, not the occupancy bitmap the span
+            // came from.
+            if let Some(min) = self.events.min_cycle_by_scan() {
+                assert!(
+                    min >= self.cycle + span,
+                    "sanitizer: fast-forward over a pending event at cycle {min}"
+                );
+            }
         }
         self.fast_forward(span);
         true
@@ -969,9 +860,6 @@ impl Sm {
         self.stats.cycles = self.cycle;
         self.stats.fast_forward_spans += 1;
         self.stats.fast_forwarded_cycles += span;
-        if self.clock.is_queue() {
-            self.stats.idle_cycles_skipped += span;
-        }
     }
 
     /// Releases thread blocks whose live warps all reached a barrier.
@@ -1126,8 +1014,11 @@ impl Sm {
         }
     }
 
+    /// Schedules `ev` for `delta` cycles from now. Every `delta` passed
+    /// here is bounded by [`event_horizon`].
     fn schedule(&mut self, delta: u32, ev: Event) {
-        self.clock.schedule(self.cycle, delta, ev);
+        debug_assert!(delta > 0, "events must land in a future cycle");
+        self.events.push(self.cycle, u64::from(delta), ev);
     }
 }
 
@@ -1528,47 +1419,36 @@ mod tests {
     }
 
     #[test]
-    fn ring_and_queue_clocks_are_bit_equal() {
-        let mk = |event_queue: bool| {
-            let k = KernelBuilder::new("clock-eq")
-                .begin_loop(25)
-                .load_global(1)
-                .iadd(2, 1, 1)
-                .barrier()
-                .fadd(3, 2, 2)
-                .end_loop()
-                .build();
+    fn event_horizon_covers_a_long_shared_latency() {
+        // The shared-memory latency is scheduled like any other delay,
+        // so the wheel must be sized past it even when it dwarfs the
+        // global-load worst case.
+        let run = |skip: bool| {
             let mut cfg = SmConfig::small_for_tests();
-            cfg.event_queue = event_queue;
+            cfg.memory.shared_latency = 100_000;
+            // Both flags, exactly as `CoreClock::sm_flags` sets them.
+            (cfg.event_queue, cfg.fast_forward) = (skip, skip);
             Sm::new(
                 cfg,
-                LaunchConfig::new(k, 6).with_block_warps(2),
+                LaunchConfig::new(KernelBuilder::new("shared").load_shared(5).build(), 1),
                 Box::new(TwoLevelScheduler::new()),
                 Box::new(AlwaysOn::new()),
             )
             .run()
         };
-        let ring = mk(false);
-        let queue = mk(true);
-        assert!(!ring.timed_out && !queue.timed_out);
-        assert_eq!(ring.stats.cycles, queue.stats.cycles);
-        assert_eq!(ring.stats.issued_by_type, queue.stats.issued_by_type);
+        let stepped = run(false);
+        let skipped = run(true);
+        assert!(!stepped.timed_out && !skipped.timed_out);
+        assert!(stepped.stats.cycles > 100_000);
+        assert_eq!(stepped.stats.fast_forwarded_cycles, 0);
+        assert!(skipped.stats.fast_forwarded_cycles > 0);
+        assert_eq!(skipped.stats.cycles, stepped.stats.cycles);
+        assert_eq!(skipped.stats.units, stepped.stats.units);
         assert_eq!(
-            ring.stats.fast_forwarded_cycles, queue.stats.fast_forwarded_cycles,
-            "skip decisions must be identical between clock backends"
+            skipped.stats.events_dispatched,
+            stepped.stats.events_dispatched
         );
-        assert_eq!(
-            ring.stats.fast_forward_spans,
-            queue.stats.fast_forward_spans
-        );
-        assert_eq!(ring.stats.events_dispatched, queue.stats.events_dispatched);
-        assert_eq!(ring.stats.heap_peak, 0, "ring clock tracks no heap peak");
-        assert!(queue.stats.heap_peak > 0, "queue clock must record a peak");
-        assert_eq!(ring.stats.idle_cycles_skipped, 0);
-        assert_eq!(
-            queue.stats.idle_cycles_skipped,
-            queue.stats.fast_forwarded_cycles
-        );
+        assert_eq!(skipped.gating, stepped.gating);
     }
 
     #[test]
@@ -1644,9 +1524,25 @@ mod tests {
                 .build()
         };
         let a = run_kernel(mk(), 6);
-        let b = run_kernel(mk(), 6);
+        // `SmConfig::event_queue` selects nothing any more: turning it
+        // off must change no outcome and no clock counter.
+        let mut cfg = SmConfig::small_for_tests();
+        cfg.event_queue = false;
+        let b = Sm::new(
+            cfg,
+            LaunchConfig::new(mk(), 6),
+            Box::new(TwoLevelScheduler::new()),
+            Box::new(AlwaysOn::new()),
+        )
+        .run();
         assert_eq!(a.stats.cycles, b.stats.cycles);
         assert_eq!(a.stats.issued_by_type, b.stats.issued_by_type);
         assert_eq!(a.stats.dual_issue_cycles, b.stats.dual_issue_cycles);
+        assert!(a.stats.fast_forwarded_cycles > 0, "the stalls must skip");
+        assert_eq!(a.stats.fast_forwarded_cycles, b.stats.fast_forwarded_cycles);
+        assert_eq!(a.stats.fast_forward_spans, b.stats.fast_forward_spans);
+        assert_eq!(a.stats.events_dispatched, b.stats.events_dispatched);
+        assert!(a.stats.heap_peak > 0, "the event wheel must record a peak");
+        assert_eq!(a.stats.heap_peak, b.stats.heap_peak);
     }
 }

@@ -308,13 +308,9 @@ pub struct SimStats {
     /// Events popped off the SM's future-event schedule (diagnostic;
     /// not part of the bit-equality contract between clock backends).
     pub events_dispatched: u64,
-    /// High-water mark of the time-queue's pending-event count
-    /// (diagnostic; zero under the ring clock, which tracks no peak).
+    /// High-water mark of the event wheel's pending-event count
+    /// (diagnostic).
     pub heap_peak: u64,
-    /// Idle cycles the event-queue clock jumped over without work
-    /// (diagnostic; zero under the ring clock, whose jumps are counted
-    /// only in [`fast_forwarded_cycles`](SimStats::fast_forwarded_cycles)).
-    pub idle_cycles_skipped: u64,
     /// Realized memory-subsystem counters (part of the bit-equality
     /// contract: identical across clock backends).
     pub mem: MemoryStats,
@@ -434,7 +430,6 @@ impl SimStats {
         self.fast_forwarded_cycles += other.fast_forwarded_cycles;
         self.events_dispatched += other.events_dispatched;
         self.heap_peak = self.heap_peak.max(other.heap_peak);
-        self.idle_cycles_skipped += other.idle_cycles_skipped;
         self.mem.merge(&other.mem);
     }
 }

@@ -1,82 +1,36 @@
-//! A time-ordered event queue for the discrete-event SM core.
+//! The SM's future-event schedule: a bounded time wheel.
 //!
-//! [`TimeQ`] is a hierarchical time wheel: a **near wheel** of
-//! power-of-two slots covers the next `horizon` cycles with O(1) push
-//! and pop (a slot is a FIFO of that cycle's events), while events
-//! beyond the horizon overflow into a **far heap** — a binary min-heap
-//! keyed by `(cycle, seq)` — and migrate into the wheel as the clock
-//! advances. An occupancy bitmap over the wheel slots answers "is
-//! anything due *now*?" with a single bit test and "when is the next
-//! event?" with a handful of word scans — independent of how far away
-//! that event is, which is what turns `try_fast_forward`'s "probe the
-//! ring, maybe skip" pattern into
-//! "pop the next event, jump there". Scheduling stays as cheap as the
-//! event ring's `Vec` push because in-flight instruction latencies are
-//! bounded: with the horizon sized past the worst-case memory latency,
-//! the far heap never sees traffic in practice.
+//! [`TimeQ`] is a ring of power-of-two slots covering the `horizon`
+//! cycles from the clock's current cycle on; a slot is the FIFO of
+//! that cycle's events. Push and drain are O(1). An occupancy bitmap
+//! over the slots answers "is anything due *now*?" with a single bit
+//! test and "when is the next event?" with a handful of word scans,
+//! independent of how far away that event is — which is what turns
+//! `try_fast_forward` into "find the next event, jump there".
 //!
-//! The pop order is *stable*: events scheduled for the same cycle drain
-//! in exactly the order they were pushed. Within the wheel this is the
-//! slot FIFO; far events carry a monotone insertion counter (`seq`) so
-//! the heap preserves push order among equal cycles, and migration
-//! happens the moment a cycle first enters the wheel window — before
-//! any later push could target it — so the global order is preserved
-//! across the two tiers. That stability is the property that lets this
-//! clock reproduce the event ring's per-slot FIFO drain order bit for
-//! bit (see `DESIGN.md` §14).
+//! The wheel has a fixed capacity: in-flight latencies are bounded, so
+//! the caller sizes the horizon past the longest delay it can schedule
+//! and [`TimeQ::push`] asserts every delay fits. Events scheduled for
+//! the same cycle drain in exactly the order they were pushed (see
+//! `DESIGN.md` §14).
 
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
-
-/// One far-heap entry: the payload plus its `(cycle, seq)` key.
-#[derive(Debug, Clone)]
-struct Entry<T> {
-    cycle: u64,
-    seq: u64,
-    item: T,
-}
-
-// `BinaryHeap` is a max-heap; reversing the comparison turns it into the
-// min-heap we need. Only the key participates in the ordering, so the
-// payload type needs no `Ord`.
-impl<T> PartialEq for Entry<T> {
-    fn eq(&self, other: &Self) -> bool {
-        (self.cycle, self.seq) == (other.cycle, other.seq)
-    }
-}
-
-impl<T> Eq for Entry<T> {}
-
-impl<T> PartialOrd for Entry<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<T> Ord for Entry<T> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        (other.cycle, other.seq).cmp(&(self.cycle, self.seq))
-    }
-}
-
-/// A stable time-ordered event queue (hierarchical time wheel).
+/// A stable time-ordered event queue with a fixed horizon.
 ///
 /// # Examples
 ///
 /// ```
 /// use warped_sim::timeq::TimeQ;
 ///
-/// let mut q = TimeQ::new();
-/// q.push(10, "writeback");
-/// q.push(4, "retire");
-/// q.push(10, "wakeup");
+/// let mut q = TimeQ::with_horizon(64);
+/// q.push(0, 10, "writeback");
+/// q.push(0, 4, "retire");
+/// q.push(0, 10, "wakeup");
 /// assert_eq!(q.next_cycle(), Some(4));
-/// assert_eq!(q.pop_if_due(4), Some("retire"));
-/// assert_eq!(q.pop_if_due(4), None, "nothing else due at cycle 4");
+/// assert_eq!(q.take_due(4), vec!["retire"]);
+/// assert!(!q.has_due(5), "nothing due at cycle 5");
 /// // Same-cycle events drain in push order (stable FIFO).
 /// assert_eq!(q.next_cycle(), Some(10));
-/// assert_eq!(q.pop_if_due(10), Some("writeback"));
-/// assert_eq!(q.pop_if_due(10), Some("wakeup"));
+/// assert_eq!(q.take_due(10), vec!["writeback", "wakeup"]);
 /// assert!(q.is_empty());
 /// ```
 #[derive(Debug, Clone)]
@@ -86,29 +40,18 @@ pub struct TimeQ<T> {
     wheel: Vec<Vec<T>>,
     /// One bit per wheel slot: set iff the slot is non-empty.
     occ: Vec<u64>,
-    /// Lower bound on every pending cycle; advances on pops.
+    /// The latest clock cycle seen by a push or a drain; no pending
+    /// event lies before it.
     base: u64,
-    /// Events at `base + wheel.len()` or beyond, awaiting migration.
-    far: BinaryHeap<Entry<T>>,
-    /// Insertion counter; orders same-cycle far events.
-    seq: u64,
     len: usize,
     peak: usize,
 }
 
 impl<T> TimeQ<T> {
-    /// Creates an empty queue with a default 256-cycle near horizon.
-    #[must_use]
-    pub fn new() -> Self {
-        TimeQ::with_horizon(256)
-    }
-
-    /// Creates an empty queue whose near wheel covers at least
+    /// Creates an empty queue whose wheel covers at least
     /// `min_horizon` cycles (rounded up to a power of two, minimum 64).
-    /// Events pushed further out than the horizon still work — they
-    /// take the far-heap path — so the horizon is purely a performance
-    /// knob: size it past the longest latency the caller schedules and
-    /// every push is O(1).
+    /// Every delay later passed to [`TimeQ::push`] must be shorter than
+    /// that capacity.
     #[must_use]
     pub fn with_horizon(min_horizon: usize) -> Self {
         let n = min_horizon.next_power_of_two().max(64);
@@ -116,35 +59,38 @@ impl<T> TimeQ<T> {
             wheel: (0..n).map(|_| Vec::new()).collect(),
             occ: vec![0u64; n / 64],
             base: 0,
-            far: BinaryHeap::new(),
-            seq: 0,
             len: 0,
             peak: 0,
         }
     }
 
-    /// Schedules `item` for `cycle`.
+    /// Schedules `item` for `delta` cycles after `now`, the clock's
+    /// current cycle. Events due at `now` itself must already have been
+    /// drained: the clock dispatches every event at its due cycle.
     ///
     /// # Panics
     ///
-    /// Panics if `cycle` lies before an already-popped cycle (events
-    /// cannot be scheduled into the past).
-    pub fn push(&mut self, cycle: u64, item: T) {
+    /// Panics if `now` lies before a cycle the clock has already
+    /// reached, or if `delta` does not fit inside the wheel.
+    pub fn push(&mut self, now: u64, delta: u64, item: T) {
         assert!(
-            cycle >= self.base,
-            "event scheduled for cycle {cycle}, before the clock's cycle {}",
+            now >= self.base,
+            "event scheduled at cycle {now}, before the clock's cycle {}",
             self.base
         );
         let n = self.wheel.len() as u64;
-        if cycle < self.base + n {
-            let s = (cycle & (n - 1)) as usize;
-            self.wheel[s].push(item);
-            self.occ[s >> 6] |= 1u64 << (s & 63);
-        } else {
-            let seq = self.seq;
-            self.seq += 1;
-            self.far.push(Entry { cycle, seq, item });
-        }
+        assert!(
+            delta < n,
+            "event latency {delta} exceeds the event wheel's capacity {n}"
+        );
+        debug_assert!(
+            self.next_cycle().is_none_or(|c| c >= now),
+            "an event due before cycle {now} was never drained"
+        );
+        self.base = now;
+        let s = ((now + delta) & (n - 1)) as usize;
+        self.wheel[s].push(item);
+        self.occ[s >> 6] |= 1u64 << (s & 63);
         self.len += 1;
         if self.len > self.peak {
             self.peak = self.len;
@@ -152,121 +98,11 @@ impl<T> TimeQ<T> {
     }
 
     /// The cycle of the earliest pending event, if any: an occupancy-
-    /// bitmap word scan plus a far-heap peek — a handful of word reads,
-    /// independent of how many events are pending or how far away they
-    /// are (the property the ring's O(distance) probe lacked).
+    /// bitmap word scan that wraps exactly one lap — a handful of word
+    /// reads, independent of how many events are pending or how far
+    /// away they are.
     #[must_use]
     pub fn next_cycle(&self) -> Option<u64> {
-        let wheel_min = self.wheel_min();
-        let far_min = self.far.peek().map(|e| e.cycle);
-        match (wheel_min, far_min) {
-            (Some(w), Some(f)) => Some(w.min(f)),
-            (w, f) => w.or(f),
-        }
-    }
-
-    /// Whether any event is due at exactly `cycle`: a single occupancy
-    /// bit test. Exact whenever `cycle` has not run ahead of a pending
-    /// event (the simulator's clock never does — it dispatches every
-    /// event at its due cycle); a `cycle` beyond the wheel window reads
-    /// as not-due even if a far event targets it, so callers probing
-    /// arbitrary future cycles should compare [`TimeQ::next_cycle`]
-    /// instead.
-    #[must_use]
-    pub fn has_due(&self, cycle: u64) -> bool {
-        let n = self.wheel.len() as u64;
-        if cycle < self.base {
-            return false;
-        }
-        if cycle >= self.base + n {
-            // Beyond the window only far events live, all at
-            // `base + n` or later, so the earliest one answers.
-            return self.far.peek().is_some_and(|e| e.cycle == cycle);
-        }
-        let s = (cycle & (n - 1)) as usize;
-        self.occ[s >> 6] & (1u64 << (s & 63)) != 0
-    }
-
-    /// Pops the earliest pending event if it is scheduled for exactly
-    /// `cycle`; returns `None` when the queue is empty or the earliest
-    /// event lies in the future. Popping at `cycle` advances the wheel:
-    /// far events whose cycles now fall inside the window migrate in,
-    /// and cycles before `cycle` can no longer be scheduled.
-    ///
-    /// O(events due at `cycle`) per pop; callers draining a whole cycle
-    /// should use [`TimeQ::take_due`] instead, which is O(1).
-    pub fn pop_if_due(&mut self, cycle: u64) -> Option<T> {
-        if self.next_cycle() != Some(cycle) {
-            return None;
-        }
-        self.advance(cycle);
-        let mask = self.wheel.len() - 1;
-        let s = (cycle as usize) & mask;
-        // `cycle == base`, so the slot's contents are exactly the
-        // events due now (anything an entire lap later sits in the far
-        // heap until the window reaches it).
-        debug_assert!(!self.wheel[s].is_empty(), "pending min on empty slot");
-        let item = self.wheel[s].remove(0);
-        self.len -= 1;
-        if self.wheel[s].is_empty() {
-            self.occ[s >> 6] &= !(1u64 << (s & 63));
-        }
-        Some(item)
-    }
-
-    /// Removes and returns *all* events due at `cycle` as one buffer,
-    /// in push order — `Vec::new()` (no allocation) when none are due.
-    /// O(1): the slot's backing storage is moved out wholesale, exactly
-    /// like the reference ring's `mem::take` drain. Hand the drained
-    /// buffer back through [`TimeQ::restore`] so its capacity parks in
-    /// the slot and is reused one lap later.
-    pub fn take_due(&mut self, cycle: u64) -> Vec<T> {
-        if !self.has_due(cycle) {
-            return Vec::new();
-        }
-        self.advance(cycle);
-        let mask = self.wheel.len() - 1;
-        let s = (cycle as usize) & mask;
-        let buf = std::mem::take(&mut self.wheel[s]);
-        self.occ[s >> 6] &= !(1u64 << (s & 63));
-        self.len -= buf.len();
-        buf
-    }
-
-    /// Returns a buffer drained by [`TimeQ::take_due`] to the slot it
-    /// came from. The buffer must be empty; if the slot has since
-    /// received new events the buffer is simply dropped.
-    pub fn restore(&mut self, cycle: u64, buf: Vec<T>) {
-        debug_assert!(buf.is_empty(), "restore expects a drained buffer");
-        let mask = self.wheel.len() - 1;
-        let s = (cycle as usize) & mask;
-        if self.wheel[s].is_empty() {
-            self.wheel[s] = buf;
-        }
-    }
-
-    /// Moves the window start up to `cycle` and migrates far events
-    /// that now fall inside it.
-    fn advance(&mut self, cycle: u64) {
-        debug_assert!(
-            self.next_cycle().is_none_or(|c| c >= cycle),
-            "advanced the wheel past a pending event"
-        );
-        if cycle > self.base {
-            self.base = cycle;
-        }
-        let n = self.wheel.len() as u64;
-        while self.far.peek().is_some_and(|e| e.cycle < self.base + n) {
-            let e = self.far.pop().expect("peeked far entry");
-            let s = (e.cycle & (n - 1)) as usize;
-            self.wheel[s].push(e.item);
-            self.occ[s >> 6] |= 1u64 << (s & 63);
-        }
-    }
-
-    /// First occupied wheel slot at or after `base`, as a cycle: a word
-    /// scan over the occupancy bitmap, wrapping exactly one lap.
-    fn wheel_min(&self) -> Option<u64> {
         let words = self.occ.len();
         let mask = self.wheel.len() - 1;
         let s0 = (self.base as usize) & mask;
@@ -291,6 +127,53 @@ impl<T> TimeQ<T> {
         Some(self.base + (slot.wrapping_sub(s0) & mask) as u64)
     }
 
+    /// Whether any event is due at exactly `cycle`: a single occupancy
+    /// bit test. Exact whenever `cycle` has not run ahead of a pending
+    /// event (the simulator's clock never does — it dispatches every
+    /// event at its due cycle).
+    #[must_use]
+    pub fn has_due(&self, cycle: u64) -> bool {
+        let n = self.wheel.len() as u64;
+        if cycle < self.base || cycle >= self.base + n {
+            return false;
+        }
+        let s = (cycle & (n - 1)) as usize;
+        self.occ[s >> 6] & (1u64 << (s & 63)) != 0
+    }
+
+    /// Removes and returns *all* events due at `cycle` as one buffer,
+    /// in push order — `Vec::new()` (no allocation) when none are due.
+    /// O(1): the slot's backing storage is moved out wholesale. Hand
+    /// the drained buffer back through [`TimeQ::restore`] so its
+    /// capacity parks in the slot and is reused one lap later.
+    pub fn take_due(&mut self, cycle: u64) -> Vec<T> {
+        if !self.has_due(cycle) {
+            return Vec::new();
+        }
+        debug_assert_eq!(
+            self.next_cycle(),
+            Some(cycle),
+            "drained past a pending event"
+        );
+        self.base = cycle;
+        let s = (cycle as usize) & (self.wheel.len() - 1);
+        let buf = std::mem::take(&mut self.wheel[s]);
+        self.occ[s >> 6] &= !(1u64 << (s & 63));
+        self.len -= buf.len();
+        buf
+    }
+
+    /// Returns a buffer drained by [`TimeQ::take_due`] to the slot it
+    /// came from. The buffer must be empty; if the slot has since
+    /// received new events the buffer is simply dropped.
+    pub fn restore(&mut self, cycle: u64, buf: Vec<T>) {
+        debug_assert!(buf.is_empty(), "restore expects a drained buffer");
+        let s = (cycle as usize) & (self.wheel.len() - 1);
+        if self.wheel[s].is_empty() {
+            self.wheel[s] = buf;
+        }
+    }
+
     /// Number of pending events.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -309,28 +192,19 @@ impl<T> TimeQ<T> {
         self.peak
     }
 
-    /// Earliest pending cycle found by a *linear scan* over the backing
-    /// storage — every wheel slot checked directly (not through the
-    /// occupancy bitmap) plus every far entry, ignoring the cached
-    /// minimum. The simulator's sanitizer uses this as an independent
-    /// re-derivation of [`TimeQ::next_cycle`]: if the bitmap or the
-    /// cache were ever corrupted, peek and scan would disagree.
+    /// Earliest pending cycle found by a *linear scan* over the wheel
+    /// slots themselves, not through the occupancy bitmap. The
+    /// simulator's sanitizer uses this as an independent re-derivation
+    /// of [`TimeQ::next_cycle`]: if the bitmap were ever corrupted, peek
+    /// and scan would disagree.
     #[must_use]
     pub fn min_cycle_by_scan(&self) -> Option<u64> {
         let n = self.wheel.len();
         let mask = n - 1;
         let s0 = (self.base as usize) & mask;
-        let wheel_min = (0..n)
+        (0..n)
             .find(|d| !self.wheel[(s0 + d) & mask].is_empty())
-            .map(|d| self.base + d as u64);
-        let far_min = self.far.iter().map(|e| e.cycle).min();
-        [wheel_min, far_min].into_iter().flatten().min()
-    }
-}
-
-impl<T> Default for TimeQ<T> {
-    fn default() -> Self {
-        TimeQ::new()
+            .map(|d| self.base + d as u64)
     }
 }
 
@@ -338,126 +212,121 @@ impl<T> Default for TimeQ<T> {
 mod tests {
     use super::*;
 
+    /// Drains the next pending cycle, returning it with its events.
+    fn pop_next<T>(q: &mut TimeQ<T>) -> Option<(u64, Vec<T>)> {
+        let c = q.next_cycle()?;
+        Some((c, q.take_due(c)))
+    }
+
     #[test]
     fn pops_in_cycle_order() {
-        let mut q = TimeQ::new();
-        q.push(30, 'c');
-        q.push(10, 'a');
-        q.push(20, 'b');
-        assert_eq!(q.next_cycle(), Some(10));
-        assert_eq!(q.pop_if_due(10), Some('a'));
-        assert_eq!(q.pop_if_due(20), Some('b'));
-        assert_eq!(q.pop_if_due(30), Some('c'));
+        let mut q = TimeQ::with_horizon(64);
+        q.push(0, 30, 'c');
+        q.push(0, 10, 'a');
+        q.push(0, 20, 'b');
+        assert_eq!(pop_next(&mut q), Some((10, vec!['a'])));
+        assert_eq!(pop_next(&mut q), Some((20, vec!['b'])));
+        assert_eq!(pop_next(&mut q), Some((30, vec!['c'])));
         assert_eq!(q.next_cycle(), None);
     }
 
     #[test]
     fn same_cycle_events_are_fifo() {
-        // The ring drains a slot's Vec front to back; the wheel must
-        // reproduce that order via the slot FIFO.
-        let mut q = TimeQ::new();
+        let mut q = TimeQ::with_horizon(64);
         for i in 0..100 {
-            q.push(7, i);
+            q.push(0, 7, i);
         }
-        for i in 0..100 {
-            assert_eq!(q.pop_if_due(7), Some(i));
-        }
+        assert_eq!(q.take_due(7), (0..100).collect::<Vec<_>>());
         assert!(q.is_empty());
     }
 
     #[test]
     fn interleaved_cycles_stay_fifo_within_each_cycle() {
-        let mut q = TimeQ::new();
-        q.push(5, "a5");
-        q.push(3, "a3");
-        q.push(5, "b5");
-        q.push(3, "b3");
-        assert_eq!(q.pop_if_due(3), Some("a3"));
-        assert_eq!(q.pop_if_due(3), Some("b3"));
-        assert_eq!(q.pop_if_due(3), None);
-        assert_eq!(q.pop_if_due(5), Some("a5"));
-        assert_eq!(q.pop_if_due(5), Some("b5"));
+        let mut q = TimeQ::with_horizon(64);
+        q.push(0, 7, "a7");
+        q.push(0, 3, "a3");
+        q.push(0, 7, "b7");
+        q.push(0, 3, "b3");
+        assert_eq!(q.take_due(3), vec!["a3", "b3"]);
+        // A push made later in time, landing on the same cycle, drains
+        // after the earlier ones.
+        q.push(3, 4, "c7");
+        assert_eq!(q.take_due(7), vec!["a7", "b7", "c7"]);
+        assert!(q.is_empty());
     }
 
     #[test]
-    fn pop_if_due_ignores_future_events() {
-        let mut q = TimeQ::new();
-        q.push(9, ());
-        assert_eq!(q.pop_if_due(8), None);
+    fn take_due_ignores_future_events() {
+        let mut q = TimeQ::with_horizon(64);
+        q.push(0, 9, ());
+        assert!(!q.has_due(8));
+        assert_eq!(q.take_due(8), Vec::<()>::new());
         assert_eq!(q.len(), 1);
-        assert_eq!(q.pop_if_due(9), Some(()));
+        assert_eq!(q.take_due(9), vec![()]);
     }
 
     #[test]
     fn peak_tracks_high_water_mark() {
-        let mut q = TimeQ::new();
-        q.push(1, ());
-        q.push(2, ());
-        q.push(3, ());
-        let _ = q.pop_if_due(1);
-        q.push(4, ());
+        let mut q = TimeQ::with_horizon(64);
+        q.push(0, 1, ());
+        q.push(0, 2, ());
+        q.push(0, 3, ());
+        let _ = q.take_due(1);
+        q.push(1, 3, ());
         assert_eq!(q.peak(), 3);
         assert_eq!(q.len(), 3);
     }
 
     #[test]
     fn scan_agrees_with_peek() {
-        let mut q = TimeQ::new();
+        let mut q = TimeQ::with_horizon(64);
         assert_eq!(q.min_cycle_by_scan(), None);
-        for c in [44u64, 12, 99, 12, 60] {
-            q.push(c, c);
+        for c in [44u64, 12, 60, 12, 59] {
+            q.push(0, c, c);
         }
         while let Some(min) = q.next_cycle() {
             assert_eq!(q.min_cycle_by_scan(), Some(min));
-            let _ = q.pop_if_due(min);
+            let _ = q.take_due(min);
         }
-    }
-
-    #[test]
-    fn far_events_migrate_into_the_wheel_in_push_order() {
-        // Horizon 64 (the minimum): cycles at 64+ take the far-heap
-        // path and must drain in the same stable order regardless.
-        let mut q = TimeQ::with_horizon(1);
-        q.push(500, "far-a");
-        q.push(3, "near");
-        q.push(500, "far-b");
-        assert_eq!(q.len(), 3);
-        assert_eq!(q.next_cycle(), Some(3));
-        assert_eq!(q.pop_if_due(3), Some("near"));
-        assert_eq!(q.next_cycle(), Some(500));
-        // A later near-window push to the same cycle lands *after* the
-        // earlier far events.
-        assert_eq!(q.pop_if_due(500), Some("far-a"));
-        q.push(500, "late");
-        assert_eq!(q.pop_if_due(500), Some("far-b"));
-        assert_eq!(q.pop_if_due(500), Some("late"));
-        assert!(q.is_empty());
     }
 
     #[test]
     fn wheel_wraps_across_many_laps() {
         let mut q = TimeQ::with_horizon(64);
-        let mut expected = Vec::new();
-        let mut cycle = 0u64;
+        let mut now = 0u64;
         for lap in 0u64..10 {
-            cycle += 40 + lap; // co-prime-ish stride across wrap points
-            q.push(cycle, cycle);
-            expected.push(cycle);
-        }
-        for c in expected {
-            assert_eq!(q.next_cycle(), Some(c));
-            assert_eq!(q.min_cycle_by_scan(), Some(c));
-            assert_eq!(q.pop_if_due(c), Some(c));
+            let delta = 40 + lap; // co-prime-ish stride across wrap points
+            q.push(now, delta, now + delta);
+            now += delta;
+            assert_eq!(q.next_cycle(), Some(now));
+            assert_eq!(q.min_cycle_by_scan(), Some(now));
+            assert_eq!(q.take_due(now), vec![now]);
         }
         assert!(q.is_empty());
     }
 
     #[test]
+    fn a_push_after_a_long_quiet_gap_lands_relative_to_now() {
+        // Nothing drains between cycle 5 and cycle 1000, so only the
+        // push itself can move the wheel's window forward.
+        let mut q = TimeQ::with_horizon(64);
+        q.push(0, 5, 'a');
+        assert_eq!(q.take_due(5), vec!['a']);
+        q.push(1000, 50, 'b');
+        q.push(1000, 2, 'c');
+        assert_eq!(q.next_cycle(), Some(1002));
+        assert_eq!(q.min_cycle_by_scan(), Some(1002));
+        assert!(!q.has_due(1050 - 64));
+        assert_eq!(q.take_due(1002), vec!['c']);
+        assert_eq!(q.take_due(1050), vec!['b']);
+    }
+
+    #[test]
     fn take_due_drains_a_whole_cycle_in_push_order() {
         let mut q = TimeQ::with_horizon(64);
-        q.push(5, 'a');
-        q.push(9, 'x');
-        q.push(5, 'b');
+        q.push(0, 5, 'a');
+        q.push(0, 9, 'x');
+        q.push(0, 5, 'b');
         assert_eq!(q.take_due(4), Vec::<char>::new(), "nothing due early");
         let mut buf = q.take_due(5);
         assert_eq!(buf, vec!['a', 'b']);
@@ -466,18 +335,25 @@ mod tests {
         buf.clear();
         q.restore(5, buf);
         // One lap later the same slot's capacity is reused.
-        q.push(5 + 64, 'c');
+        q.push(5, 64 - 1, 'c');
         assert_eq!(q.take_due(9), vec!['x']);
-        assert_eq!(q.take_due(5 + 64), vec!['c']);
+        assert_eq!(q.take_due(5 + 63), vec!['c']);
         assert!(q.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the event wheel's capacity 64")]
+    fn a_delay_past_the_horizon_panics() {
+        let mut q = TimeQ::with_horizon(1);
+        q.push(0, 64, ());
     }
 
     #[test]
     #[should_panic(expected = "before the clock")]
     fn scheduling_into_the_past_panics() {
         let mut q = TimeQ::with_horizon(64);
-        q.push(10, ());
-        assert_eq!(q.pop_if_due(10), Some(()));
-        q.push(9, ());
+        q.push(0, 10, ());
+        assert_eq!(q.take_due(10), vec![()]);
+        q.push(9, 1, ());
     }
 }

@@ -89,9 +89,9 @@ pub trait CycleObserver {
     /// The default implementation expands the span and calls
     /// [`observe`](CycleObserver::observe) once per covered cycle,
     /// which is exact by construction. Observers that can integrate a
-    /// constant-state run in closed form (e.g. an energy timeline)
-    /// override this; overrides must leave the observer in the same
-    /// state as the expanded per-cycle delivery.
+    /// constant-state run in closed form (e.g. the sanitizer) override
+    /// this; overrides must leave the observer in the same state as the
+    /// expanded per-cycle delivery.
     fn observe_span(&mut self, span: &SpanSample<'_>) {
         span.for_each_cycle(|s| self.observe(s));
     }

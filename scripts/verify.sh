@@ -127,27 +127,31 @@ for fig in fig03:1.0 fig06:0.5 fig08:1.0 fig11:0.5; do
 done
 echo "fig03, fig06, fig08 and fig11 match the checked-in results byte for byte"
 
-step "sanitized sweep (legacy fast-forward clock, invariant sanitizer armed)"
-# The reference ring clock keeps its own coverage: the sanitizer's
-# assert_quiet cross-check runs against both backends.
+step "sanitized sweep (stepped clock, invariant sanitizer armed)"
+# The per-cycle reference clock keeps its own sanitized coverage: every
+# cycle is stepped, so the sanitizer checks each one individually
+# rather than through skipped spans.
 cargo run --release -q -p warped-bench --bin sweep -- \
-    --core fast-forward --scale 0.05 --sanitize --out-dir "$outdir/sanitized"
+    --core stepped --scale 0.05 --sanitize --out-dir "$outdir/sanitized"
 
-step "hierarchical memory gate (L1/L2 armed + sanitized, event-queue vs ring bit-for-bit)"
+step "hierarchical memory gate (L1/L2 armed + sanitized, event-queue vs stepped cycles bit-for-bit)"
 # The cycle-accurate cache hierarchy computes every latency at issue
-# time, so the two clock backends must produce identical grids with it
-# armed; the sanitizer adds the cache-conservation invariants to every
-# cell. The armed grid must also differ from the flat-model grid —
-# otherwise the hierarchy silently failed to arm.
+# time, so both clocks must produce identical cycle counts with it
+# armed (ff_cycles differs by design: stepping skips nothing); the
+# sanitizer adds the cache-conservation invariants to every cell. The
+# armed grid must also differ from the flat-model grid — otherwise the
+# hierarchy silently failed to arm.
 cargo run --release -q -p warped-bench --bin sweep -- \
     --core event-queue --scale 0.05 --sanitize --mem-hierarchy \
     --out-dir "$outdir/hier_eq"
 cargo run --release -q -p warped-bench --bin sweep -- \
-    --core fast-forward --scale 0.05 --sanitize --mem-hierarchy \
-    --out-dir "$outdir/hier_ff"
-if ! diff <(extract_cells "$outdir/hier_eq/bench_grid.json") \
-          <(extract_cells "$outdir/hier_ff/bench_grid.json"); then
-    echo "verify: FAIL — clock backends diverge with the memory hierarchy armed" >&2
+    --core stepped --scale 0.05 --sanitize --mem-hierarchy \
+    --out-dir "$outdir/hier_stepped"
+# Label and cycles only: drop each row's trailing ff_cycles value.
+extract_cycles() { extract_cells "$1" | awk '{ sub(/ [0-9]+$/, ""); print }'; }
+if ! diff <(extract_cycles "$outdir/hier_eq/bench_grid.json") \
+          <(extract_cycles "$outdir/hier_stepped/bench_grid.json"); then
+    echo "verify: FAIL — clocks diverge in cycles with the memory hierarchy armed" >&2
     exit 1
 fi
 cargo run --release -q -p warped-bench --bin sweep -- \
@@ -157,7 +161,7 @@ if diff -q <(extract_cells "$outdir/hier_eq/bench_grid.json") \
     echo "verify: FAIL — armed and flat grids are identical; hierarchy never armed" >&2
     exit 1
 fi
-echo "hierarchy-armed grids match across clock backends and diverge from the flat model"
+echo "hierarchy-armed cycles match across both clocks and diverge from the flat model"
 
 step "chaos smoke (injected panic is isolated; journal resume heals the grid)"
 if cargo run --release -q -p warped-bench --bin sweep -- \

@@ -1,10 +1,10 @@
-//! Bit-equality properties of the SM's clock backends: for every
-//! technique and every random kernel, all three clock configurations —
-//! per-cycle stepping (the reference), the ring-backed fast-forward
-//! clock, and the heap-backed event-queue core — must produce the same
-//! [`SmOutcome`] — cycle counts, per-unit statistics, and the full
-//! [`GatingReport`] — and attached observers must see identical
-//! streams.
+//! Bit-equality properties of the SM's two clocks: for every technique
+//! (and the whole-SM coarse controller) and every random kernel,
+//! per-cycle stepping (the reference) and the event-queue core, which
+//! jumps stall regions to the next event on its event wheel, must
+//! produce the same [`SmOutcome`] — cycle counts, per-unit statistics,
+//! and the full [`GatingReport`] — and attached observers must see
+//! identical streams.
 //!
 //! Cases are drawn from a seeded [`SplitMix64`] stream, so every run
 //! explores the same inputs (no external property-testing dependency).
@@ -13,7 +13,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use warped_gates_repro::gates::Technique;
-use warped_gates_repro::gating::GatingParams;
+use warped_gates_repro::gating::{GatingParams, SmCoarseGating};
 use warped_gates_repro::isa::{Kernel, KernelBuilder};
 use warped_gates_repro::power::{EnergyTimeline, PowerParams};
 use warped_gates_repro::prelude::*;
@@ -26,7 +26,7 @@ use warped_gates_repro::telemetry::{
 use warped_gates_repro::workloads::rng::SplitMix64;
 
 /// Fans one observation stream out to two observers, forwarding the
-/// batched hook so span-aware overrides stay on their fast paths.
+/// batched hook so span-aware overrides stay on their own paths.
 struct Pair<A, B>(A, B);
 
 impl<A: CycleObserver, B: CycleObserver> CycleObserver for Pair<A, B> {
@@ -41,31 +41,12 @@ impl<A: CycleObserver, B: CycleObserver> CycleObserver for Pair<A, B> {
     }
 }
 
-/// The three clock configurations under test. `Stepped` is the
-/// reference: the ring-backed clock with skipping forced off.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum ClockMode {
-    Stepped,
-    FastForward,
-    EventQueue,
-}
+/// The two clocks under test, exactly as `sweep --core` selects them.
+/// `Stepped` is the reference.
+const CLOCKS: [CoreClock; 2] = [CoreClock::Stepped, CoreClock::EventQueue];
 
-impl ClockMode {
-    const ALL: [ClockMode; 3] = [
-        ClockMode::Stepped,
-        ClockMode::FastForward,
-        ClockMode::EventQueue,
-    ];
-
-    fn apply(self, cfg: &mut SmConfig) {
-        let (fast_forward, event_queue) = match self {
-            ClockMode::Stepped => (false, false),
-            ClockMode::FastForward => (true, false),
-            ClockMode::EventQueue => (true, true),
-        };
-        cfg.fast_forward = fast_forward;
-        cfg.event_queue = event_queue;
-    }
+fn apply(clock: CoreClock, cfg: &mut SmConfig) {
+    (cfg.event_queue, cfg.fast_forward) = clock.sm_flags();
 }
 
 /// One random instruction: (type selector, destination offset, source
@@ -106,19 +87,19 @@ fn build_kernel(body: &[RawInstr], trips: u32) -> Kernel {
     b.end_loop().store_global(0).build()
 }
 
-/// Runs one configuration under the given clock mode. Everything else
-/// is identical.
+/// Runs one configuration under the given clock. Everything else is
+/// identical.
 fn run(
     launch: LaunchConfig,
     technique: Technique,
     max_cycles: u64,
-    mode: ClockMode,
+    mode: CoreClock,
     observer: Option<Box<dyn CycleObserver>>,
     recorder: Option<Recorder>,
 ) -> SmOutcome {
     let mut cfg = SmConfig::small_for_tests();
     cfg.max_cycles = max_cycles;
-    mode.apply(&mut cfg);
+    apply(mode, &mut cfg);
     cfg.telemetry = recorder;
     let mut sm = Sm::new(
         cfg,
@@ -132,28 +113,27 @@ fn run(
     sm.run()
 }
 
-/// Strips the clock-backend diagnostic counters, which are the one
-/// intentional difference between the modes.
+/// Strips the clock diagnostic counters, which are the one intentional
+/// difference between the clocks.
 fn comparable(stats: &SimStats) -> SimStats {
     let mut s = stats.clone();
     s.fast_forward_spans = 0;
     s.fast_forwarded_cycles = 0;
     s.events_dispatched = 0;
     s.heap_peak = 0;
-    s.idle_cycles_skipped = 0;
     s
 }
 
-/// Runs all three clock modes and asserts pairwise bit-equality of the
-/// outcomes. Returns the number of cycles the event-queue run skipped,
-/// so callers can assert the property suite is not vacuously passing
-/// on unskippable workloads.
+/// Runs both clocks and asserts bit-equality of the outcomes. Returns
+/// the number of cycles the event-queue run skipped, so callers can
+/// assert the property suite is not vacuously passing on unskippable
+/// workloads.
 fn assert_bit_equal(launch: LaunchConfig, technique: Technique, max_cycles: u64) -> u64 {
     let stepped = run(
         launch.clone(),
         technique,
         max_cycles,
-        ClockMode::Stepped,
+        CoreClock::Stepped,
         None,
         None,
     );
@@ -162,31 +142,28 @@ fn assert_bit_equal(launch: LaunchConfig, technique: Technique, max_cycles: u64)
         "disabled clock must not skip"
     );
     assert_eq!(stepped.stats.fast_forwarded_cycles, 0);
-    let mut queue_skipped = 0;
-    for mode in [ClockMode::FastForward, ClockMode::EventQueue] {
-        let other = run(launch.clone(), technique, max_cycles, mode, None, None);
-        assert_eq!(
-            other.timed_out, stepped.timed_out,
-            "{technique}/{mode:?}: timeout flag diverges"
-        );
-        assert_eq!(
-            comparable(&other.stats),
-            comparable(&stepped.stats),
-            "{technique}/{mode:?}: SimStats diverge"
-        );
-        assert_eq!(
-            other.gating, stepped.gating,
-            "{technique}/{mode:?}: GatingReport diverges"
-        );
-        if mode == ClockMode::EventQueue {
-            assert_eq!(
-                other.stats.fast_forwarded_cycles, other.stats.idle_cycles_skipped,
-                "{technique}: queue skip counter must mirror the span counter"
-            );
-            queue_skipped = other.stats.fast_forwarded_cycles;
-        }
-    }
-    queue_skipped
+    let queue = run(
+        launch,
+        technique,
+        max_cycles,
+        CoreClock::EventQueue,
+        None,
+        None,
+    );
+    assert_eq!(
+        queue.timed_out, stepped.timed_out,
+        "{technique}: timeout flag diverges"
+    );
+    assert_eq!(
+        comparable(&queue.stats),
+        comparable(&stepped.stats),
+        "{technique}: SimStats diverge"
+    );
+    assert_eq!(
+        queue.gating, stepped.gating,
+        "{technique}: GatingReport diverges"
+    );
+    queue.stats.fast_forwarded_cycles
 }
 
 #[test]
@@ -262,9 +239,9 @@ fn barrier_wave_and_stagger_launches_are_bit_equal() {
 
 #[test]
 fn observers_see_identical_streams_under_skipping() {
-    // The energy timeline (span-integrating observer) and the
-    // utilization trace (span-expanding observer) must end up in the
-    // same state under all three clock modes.
+    // The energy timeline (default span expansion) and the utilization
+    // trace (its own capacity-clipped span path) must end up in the
+    // same state under both clocks.
     let mut rng = SplitMix64::new(0xff_0004);
     for _ in 0..4 {
         let body = random_body(&mut rng, 14, true);
@@ -284,7 +261,7 @@ fn observers_see_identical_streams_under_skipping() {
             };
             let mk_trace = || Rc::new(RefCell::new(UtilizationTrace::new(4000)));
 
-            let runs: Vec<_> = ClockMode::ALL
+            let runs: Vec<_> = CLOCKS
                 .iter()
                 .map(|&mode| {
                     let tl = mk_timeline();
@@ -331,17 +308,17 @@ fn observers_see_identical_streams_under_skipping() {
 #[test]
 fn hierarchy_armed_clocks_are_bit_equal_and_sanitized() {
     // The L1/L2/MSHR hierarchy computes every load latency at issue
-    // time, so all three clock backends must stay bit-equal with it
+    // time, so both clocks must stay bit-equal with it
     // armed — including the realized memory stats, which are part of
     // SimStats equality. The sanitizer rides along so its cache
     // conservation invariants run on every case.
     use warped_gates_repro::sim::HierarchyConfig;
-    let run_armed = |launch: LaunchConfig, technique: Technique, mode: ClockMode| -> SmOutcome {
+    let run_armed = |launch: LaunchConfig, technique: Technique, mode: CoreClock| -> SmOutcome {
         let mut cfg = SmConfig::small_for_tests();
         cfg.max_cycles = 2_000_000;
         cfg.memory.hierarchy = Some(HierarchyConfig::small_for_tests());
         cfg.sanitize = true;
-        mode.apply(&mut cfg);
+        apply(mode, &mut cfg);
         Sm::new(
             cfg,
             launch,
@@ -366,29 +343,25 @@ fn hierarchy_armed_clocks_are_bit_equal_and_sanitized() {
             Technique::ConvPg,
             Technique::WarpedGates,
         ] {
-            let stepped = run_armed(launch.clone(), technique, ClockMode::Stepped);
+            let stepped = run_armed(launch.clone(), technique, CoreClock::Stepped);
             assert!(stepped.stats.mem.hierarchy, "hierarchy must be armed");
             misses += stepped.stats.mem.l1_misses;
             merges += stepped.stats.mem.mshr_merges;
-            for mode in [ClockMode::FastForward, ClockMode::EventQueue] {
-                let other = run_armed(launch.clone(), technique, mode);
-                assert_eq!(
-                    other.timed_out, stepped.timed_out,
-                    "{technique}/{mode:?}: timeout flag diverges"
-                );
-                assert_eq!(
-                    comparable(&other.stats),
-                    comparable(&stepped.stats),
-                    "{technique}/{mode:?}: SimStats diverge with the hierarchy armed"
-                );
-                assert_eq!(
-                    other.gating, stepped.gating,
-                    "{technique}/{mode:?}: GatingReport diverges with the hierarchy armed"
-                );
-                if mode == ClockMode::EventQueue {
-                    skipped += other.stats.idle_cycles_skipped;
-                }
-            }
+            let queue = run_armed(launch.clone(), technique, CoreClock::EventQueue);
+            assert_eq!(
+                queue.timed_out, stepped.timed_out,
+                "{technique}: timeout flag diverges"
+            );
+            assert_eq!(
+                comparable(&queue.stats),
+                comparable(&stepped.stats),
+                "{technique}: SimStats diverge with the hierarchy armed"
+            );
+            assert_eq!(
+                queue.gating, stepped.gating,
+                "{technique}: GatingReport diverges with the hierarchy armed"
+            );
+            skipped += queue.stats.fast_forwarded_cycles;
         }
     }
     assert!(skipped > 0, "the suite must exercise the skip path");
@@ -466,7 +439,7 @@ fn armed_recorder_sees_identical_event_streams_under_skipping() {
                 launch.clone(),
                 technique,
                 2_000_000,
-                ClockMode::Stepped,
+                CoreClock::Stepped,
                 None,
                 Some(rec_base.clone()),
             );
@@ -477,31 +450,106 @@ fn armed_recorder_sees_identical_event_streams_under_skipping() {
                 "{technique}: recorder saw nothing"
             );
 
-            for mode in [ClockMode::FastForward, ClockMode::EventQueue] {
-                let rec = mk();
-                let out = run(
-                    launch.clone(),
-                    technique,
-                    2_000_000,
-                    mode,
-                    None,
-                    Some(rec.clone()),
-                );
-                // Arming telemetry must not perturb the simulation
-                // either.
-                assert_eq!(comparable(&out.stats), comparable(&base.stats));
-                assert_eq!(out.gating, base.gating);
+            let rec = mk();
+            let out = run(
+                launch.clone(),
+                technique,
+                2_000_000,
+                CoreClock::EventQueue,
+                None,
+                Some(rec.clone()),
+            );
+            // Arming telemetry must not perturb the simulation either.
+            assert_eq!(comparable(&out.stats), comparable(&base.stats));
+            assert_eq!(out.gating, base.gating);
 
-                let log = rec.take();
-                assert_eq!(log.dropped, 0, "ring sized for the whole run");
-                assert_eq!(log.baseline, log_base.baseline);
-                assert_eq!(log.last_cycle, log_base.last_cycle);
-                assert_eq!(
-                    canonical(&log),
-                    canonical(&log_base),
-                    "{technique}/{mode:?}: event streams diverge"
-                );
-            }
+            let log = rec.take();
+            assert_eq!(log.dropped, 0, "ring sized for the whole run");
+            assert_eq!(log.baseline, log_base.baseline);
+            assert_eq!(log.last_cycle, log_base.last_cycle);
+            assert_eq!(
+                canonical(&log),
+                canonical(&log_base),
+                "{technique}: event streams diverge"
+            );
         }
     }
+}
+
+#[test]
+fn sm_coarse_gating_is_bit_equal_under_skipping() {
+    // The whole-SM coarse controller advances skipped spans through the
+    // trait's default per-cycle loop; under the real SM loop that must
+    // match stepping in outcome, sanitizer checks, observer state and
+    // recorded events, on kernels that gate the whole SM often.
+    let run_coarse = |launch: LaunchConfig, mode: CoreClock| {
+        let timeline = Rc::new(RefCell::new(EnergyTimeline::new(
+            PowerParams::default(),
+            DomainLayout::fermi(),
+            GatingParams::default().bet,
+            500,
+        )));
+        let trace = Rc::new(RefCell::new(UtilizationTrace::new(4000)));
+        let rec = Recorder::new(RecorderConfig {
+            capacity: 1 << 20,
+            epoch_len: 500,
+        });
+        let mut cfg = SmConfig::small_for_tests();
+        cfg.max_cycles = 2_000_000;
+        cfg.telemetry = Some(rec.clone());
+        apply(mode, &mut cfg);
+        let mut sm = Sm::new(
+            cfg,
+            launch,
+            Technique::Baseline.make_scheduler(),
+            Box::new(SmCoarseGating::new(GatingParams::default())),
+        );
+        sm.set_observer(Box::new(Pair(timeline.clone(), trace.clone())));
+        let out = sm.run();
+        let events: Vec<Stamped> = rec
+            .take()
+            .events
+            .into_iter()
+            .filter(|s| !matches!(s.event, Event::FastForward { .. }))
+            .collect();
+        (out, timeline, trace, events)
+    };
+
+    let mut rng = SplitMix64::new(0xff_0007);
+    let (mut skipped, mut gated) = (0u64, 0u64);
+    for case in 0..4 {
+        let body = random_body(&mut rng, 14, case % 2 == 0);
+        let trips = 1 + rng.below(9) as u32;
+        let warps = 1 + rng.below(4) as u32;
+        let kernel = build_kernel(&body, trips);
+        let launch = LaunchConfig::new(kernel, warps).with_block_warps(4);
+        let (base, base_tl, base_tr, base_events) = run_coarse(launch.clone(), CoreClock::Stepped);
+        let (out, tl, tr, events) = run_coarse(launch, CoreClock::EventQueue);
+        assert_eq!(out.timed_out, base.timed_out);
+        assert_eq!(comparable(&out.stats), comparable(&base.stats));
+        assert_eq!(
+            out.gating, base.gating,
+            "case {case}: GatingReport diverges"
+        );
+        assert_eq!(tl.borrow().epochs(), base_tl.borrow().epochs());
+        for unit in warped_gates_repro::isa::UnitType::ALL {
+            assert_eq!(
+                tl.borrow().current_epoch(unit),
+                base_tl.borrow().current_epoch(unit)
+            );
+        }
+        assert_eq!(tr.borrow().samples(), base_tr.borrow().samples());
+        let mut events = events;
+        let mut base_events = base_events;
+        events.sort_by_key(event_key);
+        base_events.sort_by_key(event_key);
+        assert_eq!(events, base_events, "case {case}: event streams diverge");
+        skipped += out.stats.fast_forwarded_cycles;
+        gated += out
+            .gating
+            .sum_over(DomainLayout::fermi().all())
+            .gated_cycles;
+    }
+    assert!(skipped > 0, "the suite must exercise the skip path");
+    assert!(gated > 0, "the coarse controller must actually gate");
 }
