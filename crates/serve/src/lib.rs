@@ -26,9 +26,9 @@
 //! * [`metrics`] — wait-free counters and their `/metrics` exposition.
 //! * [`service`] — routing and endpoint logic over `Request` + `Write`
 //!   (no sockets; unit-testable against byte buffers).
-//! * [`server`] — the TCP transport: accept loop on the sim crate's
-//!   bounded worker pool, an idle-socket reaper so parked keep-alive
-//!   connections cost no worker, and cooperative graceful shutdown.
+//! * [`server`] — the TCP transport: an acceptor under a connection
+//!   cap, one thread per connection blocking on its socket between
+//!   keep-alive requests, and cooperative graceful shutdown.
 //! * [`client`] — a blocking keep-alive client for tests, scripts,
 //!   and the `loadgen` benchmark binary.
 //!

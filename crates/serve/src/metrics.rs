@@ -30,7 +30,8 @@ pub struct Metrics {
     /// Requests whose bytes were already buffered behind the previous
     /// request on the same connection (true pipelining).
     pub pipelined_requests: AtomicU64,
-    /// Idle keep-alive sockets closed by the reaper's timeout.
+    /// Keep-alive sockets closed after idling past the keep-alive
+    /// timeout.
     pub reaped_idle_sockets: AtomicU64,
     /// `/sweep` cells answered without a fresh simulation (memory
     /// cache hit or coalesced onto an in-flight computation).
@@ -47,8 +48,8 @@ pub struct Metrics {
     /// stepping ([`SimStats::fast_forwarded_cycles`](warped_sim::SimStats)),
     /// across all fresh simulations.
     pub idle_cycles_skipped: AtomicU64,
-    /// Connections refused with a `503` because the dispatch queue
-    /// was full (load shedding instead of blocking the acceptor).
+    /// Connections refused with a `503` because the connection cap
+    /// was reached (load shedding instead of blocking the acceptor).
     pub shed_requests: AtomicU64,
     /// Memory accesses issued by hierarchy-armed simulations (zero
     /// while every request uses the flat latency model).
@@ -215,7 +216,7 @@ impl Metrics {
         );
         counter(
             "warped_serve_reaped_idle_sockets_total",
-            "Idle keep-alive sockets closed by the reaper timeout.",
+            "Keep-alive sockets closed after idling past the keep-alive timeout.",
             self.reaped_idle_sockets.load(Ordering::Relaxed),
         );
         counter(
@@ -265,7 +266,7 @@ impl Metrics {
         );
         counter(
             "warped_serve_shed_requests_total",
-            "Connections answered 503 because the dispatch queue was full.",
+            "Connections answered 503 because the connection cap was reached.",
             self.shed_requests.load(Ordering::Relaxed),
         );
         counter(

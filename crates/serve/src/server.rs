@@ -1,87 +1,66 @@
-//! The TCP front end: accept loop, bounded worker pool, keep-alive
-//! connection reuse, and graceful stop.
+//! The TCP front end: an acceptor, one thread per connection, and
+//! graceful stop.
 //!
-//! Requests are served by a [`warped_sim::parallel::Pool`] — the same
-//! bounded pool the sweep engine uses — so the service inherits the
-//! workspace-wide `WARPED_JOBS` sizing convention and its
-//! backpressure: when every worker is busy and the queue is full,
-//! `accept` blocks instead of piling up unbounded work.
+//! The acceptor owns the listener. It admits a connection only while
+//! fewer than [`ServerConfig::max_connections`] are live and gives it
+//! a thread of its own; past the cap (or if the thread cannot be
+//! spawned) it answers a typed `503` with `Retry-After` and closes.
 //!
-//! Persistent connections must not pin workers, so the transport is
-//! three threads plus the pool:
+//! A connection thread owns its read buffer for the life of the
+//! socket. Before each request it blocks on the socket for at most
+//! [`ServerConfig::keep_alive_timeout`]: the request's first bytes
+//! wake it at once, and a socket idle past the timeout is closed and
+//! counted. Pipelined requests (bytes already buffered behind the
+//! previous request) are served without touching the socket. Idle
+//! keep-alive sockets therefore cost a blocked thread and a slot under
+//! the cap, and no polling.
 //!
-//! * the **acceptor** owns the listener and feeds fresh connections to
-//!   the dispatcher over a bounded channel (that bound is the
-//!   backpressure above);
-//! * the **dispatcher** owns the pool and submits every incoming
-//!   connection — fresh or revived — as one pool job;
-//! * the **reaper** holds idle keep-alive sockets in non-blocking
-//!   mode, polling them on a short tick: a socket with bytes waiting
-//!   is promoted back to the dispatcher, one idle past
-//!   [`ServerConfig::keep_alive_timeout`] is closed and counted.
-//!
-//! A worker serves requests back-to-back off one socket: pipelined
-//! requests (bytes already buffered behind the previous request) are
-//! answered immediately, and after a quiet response the worker lingers
-//! a few milliseconds before parking the socket with the reaper — a
-//! hot client keeps its worker at full speed and never pays the poll
-//! tick, while an idle one costs no worker at all.
+//! [`ServerConfig::workers`] bounds how many requests run inside
+//! [`Service::handle`] at once, whatever the number of open
+//! connections.
 //!
 //! Shutdown is cooperative and needs no platform signal plumbing: a
 //! shared flag is raised (by [`ServerHandle::shutdown`] or by a
 //! `POST /shutdown` request), a throwaway self-connection wakes the
-//! blocking `accept`, the acceptor and reaper drop their dispatcher
-//! channels, and the dispatcher joins the pool — which drains every
-//! in-flight request before the threads exit.
+//! blocking `accept`, and the acceptor stops accepting and shuts the
+//! read side of every live connection. Idle connections see EOF at
+//! once; a request already read still gets its full response.
+//! [`ServerHandle::join`] returns when every connection has closed.
 
+use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{self, Receiver, Sender, SyncSender};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use warped_sim::parallel::{worker_count, Pool};
+use warped_sim::parallel::worker_count;
 
 use crate::http::{read_request, write_response, write_response_with, HttpError};
 use crate::service::{Handled, Service, ServiceConfig};
-
-/// How long a worker waits for the next request before parking the
-/// socket with the reaper. Long enough that a client turning requests
-/// around back-to-back stays on its worker; short enough that a think
-/// pause frees the worker almost immediately.
-const LINGER: Duration = Duration::from_millis(5);
-
-/// The reaper's poll tick. A parked connection waits at most this long
-/// between sending its next request and being promoted to a worker.
-const REAP_TICK: Duration = Duration::from_millis(2);
-
-/// Requests one worker serves off a single connection before parking
-/// it (buffer permitting), so one fast client cannot monopolise a
-/// worker while others queue.
-const BURST: u64 = 64;
 
 /// Transport configuration for [`spawn`].
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Bind address, e.g. `127.0.0.1:7878` (`:0` for an ephemeral port).
     pub addr: String,
-    /// Worker-pool size (requests served concurrently).
+    /// Requests served concurrently (inside [`Service::handle`]); more
+    /// connections may be open, their requests wait their turn.
     pub workers: usize,
-    /// Per-request read timeout (a stalled client cannot pin a worker
-    /// forever).
+    /// Per-read timeout inside a request (a stalled client cannot
+    /// hold its connection forever). Must not be zero.
     pub read_timeout: Option<Duration>,
-    /// Per-connection write timeout.
+    /// Per-connection write timeout. Must not be zero.
     pub write_timeout: Option<Duration>,
-    /// How long an idle keep-alive socket may park before the reaper
-    /// closes it.
+    /// How long a connection may wait for its next request before it
+    /// is closed as idle. Must not be zero.
     pub keep_alive_timeout: Duration,
-    /// Accepted-connection queue depth before the acceptor sheds with
-    /// a `503`; `None` sizes it `max(workers * 4, 64)` — the floor
-    /// keeps normal connection churn on a small box from reading as
-    /// overload.
-    pub dispatch_queue: Option<usize>,
+    /// Live connections (idle keep-alive sockets included) before the
+    /// acceptor sheds with a `503`; `None` sizes it
+    /// `max(workers * 4, 64)` — the floor keeps normal connection
+    /// churn on a small box from reading as overload.
+    pub max_connections: Option<usize>,
     /// The service behind the transport.
     pub service: ServiceConfig,
 }
@@ -94,184 +73,262 @@ impl Default for ServerConfig {
             read_timeout: Some(Duration::from_secs(30)),
             write_timeout: Some(Duration::from_secs(30)),
             keep_alive_timeout: Duration::from_secs(5),
-            dispatch_queue: None,
+            max_connections: None,
             service: ServiceConfig::default(),
         }
     }
 }
 
-/// One live connection, carried between the worker pool and the
-/// reaper. `served` survives parking so reuse is counted per
-/// connection, not per visit to a worker.
-struct Conn {
-    stream: TcpStream,
-    /// Requests answered on this socket so far.
-    served: u64,
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// What every worker job needs; shared behind an `Arc` so a job is one
-/// allocation. The `park` sender doubles as the reaper's lifetime: the
-/// reaper exits when the dispatcher and every outstanding job have
-/// dropped theirs.
+/// The live connections, keyed by admission number. Each entry is a
+/// clone of the connection's socket, kept so shutdown can close its
+/// read side.
+#[derive(Debug, Default)]
+struct Conns {
+    live: Mutex<Live>,
+    drained: Condvar,
+}
+
+#[derive(Debug, Default)]
+struct Live {
+    admitted: u64,
+    streams: HashMap<u64, TcpStream>,
+}
+
+impl Conns {
+    /// Registers `stream` unless `cap` connections are already live.
+    fn admit(&self, stream: &TcpStream, cap: usize) -> Option<u64> {
+        let mut live = lock(&self.live);
+        if live.streams.len() >= cap {
+            return None;
+        }
+        let clone = stream.try_clone().ok()?;
+        live.admitted += 1;
+        let id = live.admitted;
+        live.streams.insert(id, clone);
+        Some(id)
+    }
+
+    /// Unregisters a connection, returning its socket clone.
+    fn release(&self, id: u64) -> Option<TcpStream> {
+        let mut live = lock(&self.live);
+        let stream = live.streams.remove(&id);
+        if live.streams.is_empty() {
+            self.drained.notify_all();
+        }
+        stream
+    }
+
+    /// Ends reading on every live connection: idle readers see EOF.
+    fn close_reads(&self) {
+        for stream in lock(&self.live).streams.values() {
+            let _ = stream.shutdown(Shutdown::Read);
+        }
+    }
+
+    fn wait_drained(&self) {
+        let mut live = lock(&self.live);
+        while !live.streams.is_empty() {
+            live = self
+                .drained
+                .wait(live)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+}
+
+/// A counting gate: at most `limit` holders of a [`Pass`] at once.
+#[derive(Debug)]
+struct Gate {
+    busy: Mutex<usize>,
+    freed: Condvar,
+    limit: usize,
+}
+
+impl Gate {
+    fn enter(&self) -> Pass<'_> {
+        let mut busy = lock(&self.busy);
+        while *busy >= self.limit {
+            busy = self
+                .freed
+                .wait(busy)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        *busy += 1;
+        Pass(self)
+    }
+}
+
+/// One place in a [`Gate`], given back on drop (unwinding included).
+struct Pass<'a>(&'a Gate);
+
+impl Drop for Pass<'_> {
+    fn drop(&mut self) {
+        *lock(&self.0.busy) -= 1;
+        self.0.freed.notify_one();
+    }
+}
+
+/// What the acceptor and every connection thread share.
+#[derive(Debug)]
 struct Ctx {
     service: Arc<Service>,
-    shutdown: Arc<AtomicBool>,
+    shutdown: AtomicBool,
+    conns: Conns,
+    gate: Gate,
     read_timeout: Option<Duration>,
     write_timeout: Option<Duration>,
+    keep_alive_timeout: Duration,
     addr: SocketAddr,
-    park: Sender<Conn>,
+}
+
+impl Ctx {
+    /// Raises the shutdown flag and wakes the blocking `accept` with a
+    /// throwaway connection (if the listener is already gone, there
+    /// is nothing to wake).
+    fn stop(&self) {
+        self.shutdown.store(true, Ordering::SeqCst);
+        let _ = TcpStream::connect(self.addr);
+    }
 }
 
 /// A running server. Dropping the handle does *not* stop it; call
 /// [`shutdown`](ServerHandle::shutdown) or [`join`](ServerHandle::join).
 #[derive(Debug)]
 pub struct ServerHandle {
-    addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    threads: Vec<JoinHandle<()>>,
-    service: Arc<Service>,
+    ctx: Arc<Ctx>,
+    acceptor: Option<JoinHandle<()>>,
 }
 
 impl ServerHandle {
     /// The bound address (resolves `:0` to the actual ephemeral port).
     #[must_use]
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.ctx.addr
     }
 
     /// The service behind the transport (for in-process inspection).
     #[must_use]
-    pub fn service(&self) -> &Service {
-        &self.service
+    pub fn service(&self) -> &Arc<Service> {
+        &self.ctx.service
     }
 
-    /// Raises the shutdown flag, wakes the accept loop, and blocks
-    /// until every in-flight request has drained.
+    /// Stops accepting and blocks until every connection has closed:
+    /// idle ones at once, busy ones after their in-flight response.
     pub fn shutdown(&mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        // Wake the blocking accept with a throwaway connection; if the
-        // listener is already gone, there is nothing to wake.
-        let _ = TcpStream::connect(self.addr);
+        self.ctx.stop();
         self.join();
     }
 
-    /// Blocks until the server stops (e.g. via `POST /shutdown`).
+    /// Blocks until the server stops (e.g. via `POST /shutdown`) and
+    /// every connection has closed.
     pub fn join(&mut self) {
-        // Exit order matters: the acceptor drops its dispatcher sender
-        // first, the reaper follows on its next tick, and only then
-        // can the dispatcher's `recv` disconnect so it joins the pool.
-        for handle in self.threads.drain(..) {
-            let _ = handle.join();
+        if let Some(acceptor) = self.acceptor.take() {
+            let _ = acceptor.join();
         }
+        self.ctx.conns.wait_drained();
     }
 }
 
-/// Binds the listener and spawns the accept/dispatch/reap threads.
+/// Binds the listener and spawns the acceptor thread.
 ///
 /// # Errors
 ///
-/// Returns the bind error if the address is unavailable.
+/// Returns `InvalidInput` naming the field for a zero timeout (a
+/// socket cannot wait zero time), or the bind error if the address is
+/// unavailable.
 pub fn spawn(config: ServerConfig) -> io::Result<ServerHandle> {
+    for (field, timeout) in [
+        ("read_timeout", config.read_timeout),
+        ("write_timeout", config.write_timeout),
+        ("keep_alive_timeout", Some(config.keep_alive_timeout)),
+    ] {
+        if timeout == Some(Duration::ZERO) {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("ServerConfig::{field} must not be zero"),
+            ));
+        }
+    }
     let listener = TcpListener::bind(&config.addr)?;
-    let addr = listener.local_addr()?;
-    let service = Arc::new(Service::new(config.service.clone()));
-    let shutdown = Arc::new(AtomicBool::new(false));
     let workers = config.workers.max(1);
-
-    // Acceptor → dispatcher (bounded: this is the accept backpressure)
-    // and reaper → dispatcher share one channel; workers → reaper is
-    // unbounded so parking never blocks a worker.
-    let queue = config.dispatch_queue.unwrap_or((workers * 4).max(64));
-    let (dispatch_tx, dispatch_rx) = mpsc::sync_channel::<Conn>(queue);
-    let (park_tx, park_rx) = mpsc::channel::<Conn>();
-
     let ctx = Arc::new(Ctx {
-        service: Arc::clone(&service),
-        shutdown: Arc::clone(&shutdown),
+        service: Arc::new(Service::new(config.service)),
+        shutdown: AtomicBool::new(false),
+        conns: Conns::default(),
+        gate: Gate {
+            busy: Mutex::new(0),
+            freed: Condvar::new(),
+            limit: workers,
+        },
         read_timeout: config.read_timeout,
         write_timeout: config.write_timeout,
-        addr,
-        park: park_tx,
+        keep_alive_timeout: config.keep_alive_timeout,
+        addr: listener.local_addr()?,
     });
-
+    let max_connections = config.max_connections.unwrap_or((workers * 4).max(64));
     let acceptor = {
-        let shutdown = Arc::clone(&shutdown);
-        let dispatch_tx = dispatch_tx.clone();
-        let service = Arc::clone(&service);
+        let ctx = Arc::clone(&ctx);
         std::thread::Builder::new()
             .name("warped-serve-accept".to_owned())
             .spawn(move || {
                 for conn in listener.incoming() {
-                    if shutdown.load(Ordering::SeqCst) {
+                    if ctx.shutdown.load(Ordering::SeqCst) {
                         break;
                     }
-                    let Ok(stream) = conn else { continue };
-                    // Load shedding: a full dispatch queue answers a
-                    // typed 503 immediately instead of blocking the
-                    // acceptor (which would stall every later client,
-                    // including /healthz probes).
-                    match dispatch_tx.try_send(Conn { stream, served: 0 }) {
-                        Ok(()) => {}
-                        Err(mpsc::TrySendError::Full(conn)) => shed(&service, conn.stream),
-                        Err(mpsc::TrySendError::Disconnected(_)) => break,
+                    if let Ok(stream) = conn {
+                        admit(&ctx, stream, max_connections);
                     }
                 }
+                ctx.conns.close_reads();
             })?
     };
-
-    let dispatcher = {
-        let ctx = Arc::clone(&ctx);
-        std::thread::Builder::new()
-            .name("warped-serve-dispatch".to_owned())
-            .spawn(move || {
-                let mut pool = Pool::new(workers, workers * 4);
-                // Disconnects once the acceptor and the reaper have
-                // both dropped their senders — i.e. on shutdown.
-                while let Ok(conn) = dispatch_rx.recv() {
-                    let ctx = Arc::clone(&ctx);
-                    if pool
-                        .submit(move || {
-                            let _ = serve_connection(&ctx, conn);
-                        })
-                        .is_err()
-                    {
-                        break;
-                    }
-                }
-                // Joins the workers: every accepted request finishes
-                // before the dispatcher exits.
-                pool.shutdown();
-            })?
-    };
-
-    let reaper = {
-        let shutdown = Arc::clone(&shutdown);
-        let service = Arc::clone(&service);
-        let keep_alive_timeout = config.keep_alive_timeout;
-        std::thread::Builder::new()
-            .name("warped-serve-reap".to_owned())
-            .spawn(move || {
-                reap_loop(
-                    &park_rx,
-                    dispatch_tx,
-                    &shutdown,
-                    &service,
-                    keep_alive_timeout,
-                );
-            })?
-    };
-
     Ok(ServerHandle {
-        addr,
-        shutdown,
-        threads: vec![acceptor, dispatcher, reaper],
-        service,
+        ctx,
+        acceptor: Some(acceptor),
     })
 }
 
-/// Sheds one connection the dispatch queue has no room for: a typed
-/// `503` with `Retry-After` on a best-effort write, then close. The
-/// client learns to back off instead of hanging in the backlog.
+/// Gives an accepted connection its own thread, or sheds it when the
+/// cap is reached or no thread can be spawned.
+fn admit(ctx: &Arc<Ctx>, stream: TcpStream, max_connections: usize) {
+    let Some(id) = ctx.conns.admit(&stream, max_connections) else {
+        return shed(&ctx.service, stream);
+    };
+    // Detached: the registry, not a `JoinHandle`, tracks the thread,
+    // and `Slot` gives its place back even if it panics.
+    let conn_ctx = Arc::clone(ctx);
+    let spawned = std::thread::Builder::new()
+        .name("warped-serve-conn".to_owned())
+        .spawn(move || {
+            let _slot = Slot(&conn_ctx, id);
+            let _ = serve_connection(&conn_ctx, stream);
+        });
+    // The closure (and its socket) is gone; answer on the registry's
+    // clone instead.
+    if spawned.is_err() {
+        if let Some(stream) = ctx.conns.release(id) {
+            shed(&ctx.service, stream);
+        }
+    }
+}
+
+/// A connection's place under the cap, released when its thread
+/// exits (unwinding included).
+struct Slot<'a>(&'a Ctx, u64);
+
+impl Drop for Slot<'_> {
+    fn drop(&mut self) {
+        self.0.conns.release(self.1);
+    }
+}
+
+/// Sheds one connection the server has no room for: a typed `503`
+/// with `Retry-After` on a best-effort write, then close. The client
+/// learns to back off instead of hanging in the backlog.
 fn shed(service: &Service, stream: TcpStream) {
     service
         .metrics
@@ -285,209 +342,85 @@ fn shed(service: &Service, stream: TcpStream) {
         503,
         "application/json",
         &[("Retry-After", "1")],
-        b"{\"error\":{\"kind\":\"overloaded\",\"message\":\"dispatch queue is full; retry shortly\"}}\n",
+        b"{\"error\":{\"kind\":\"overloaded\",\"message\":\"connection limit reached; retry shortly\"}}\n",
         false,
     );
 }
 
-/// The reaper: parks idle keep-alive sockets in non-blocking mode,
-/// promotes the readable ones back to the dispatcher, and closes the
-/// ones idle past the timeout (or everything, once shutdown starts).
-fn reap_loop(
-    park_rx: &Receiver<Conn>,
-    dispatch_tx: SyncSender<Conn>,
-    shutdown: &AtomicBool,
-    service: &Service,
-    keep_alive_timeout: Duration,
-) {
-    let mut dispatch_tx = Some(dispatch_tx);
-    let mut parked: Vec<(Conn, Instant)> = Vec::new();
-    loop {
-        // Tick fast while watching sockets, slow when idle. The idle
-        // tick still has to be bounded: the shutdown flag is only
-        // observed here, and the dispatcher exit waits on this thread
-        // dropping its sender.
-        match park_rx.recv_timeout(if parked.is_empty() {
-            Duration::from_millis(50)
-        } else {
-            REAP_TICK
-        }) {
-            Ok(conn) => parked.push((conn, Instant::now())),
-            Err(mpsc::RecvTimeoutError::Timeout) => {}
-            Err(mpsc::RecvTimeoutError::Disconnected) => {
-                // Dispatcher and all workers are gone; nothing can
-                // park or be promoted anymore.
-                break;
-            }
-        }
-        // Drain whatever else queued behind the first one.
-        while let Ok(conn) = park_rx.try_recv() {
-            parked.push((conn, Instant::now()));
-        }
-
-        if shutdown.load(Ordering::SeqCst) {
-            // Close every parked socket and release the dispatcher
-            // (it exits when all its senders are gone). Keep looping
-            // to drain late parkers until the channel disconnects.
-            parked.clear();
-            dispatch_tx = None;
-            continue;
-        }
-
-        let mut i = 0;
-        while i < parked.len() {
-            let (conn, since) = &parked[i];
-            let mut probe = [0u8; 1];
-            let verdict = match conn.stream.peek(&mut probe) {
-                Ok(0) => Verdict::Close, // peer hung up
-                Ok(_) => Verdict::Promote,
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    if since.elapsed() >= keep_alive_timeout {
-                        Verdict::Reap
-                    } else {
-                        Verdict::Keep
-                    }
-                }
-                Err(_) => Verdict::Close,
-            };
-            match verdict {
-                Verdict::Keep => i += 1,
-                Verdict::Close => {
-                    parked.swap_remove(i);
-                }
-                Verdict::Reap => {
-                    service
-                        .metrics
-                        .reaped_idle_sockets
-                        .fetch_add(1, Ordering::Relaxed);
-                    parked.swap_remove(i);
-                }
-                Verdict::Promote => {
-                    let (conn, _) = parked.swap_remove(i);
-                    if conn.stream.set_nonblocking(false).is_err() {
-                        continue;
-                    }
-                    // A full dispatcher queue blocks here — the same
-                    // backpressure the acceptor feels. A `None` sender
-                    // means we are shutting down: drop the socket.
-                    if let Some(tx) = &dispatch_tx {
-                        let _ = tx.send(conn);
-                    }
-                }
-            }
-        }
-    }
-}
-
-enum Verdict {
-    Keep,
-    Close,
-    Reap,
-    Promote,
-}
-
-/// What to do with the connection after a lingering read.
-enum Linger {
-    /// The next request's bytes arrived.
-    Data,
-    /// The peer closed (or errored); drop the connection.
-    Closed,
-    /// Nothing yet: hand the socket to the reaper.
-    Idle,
-}
-
-/// Waits [`LINGER`] for more bytes without consuming anything.
-fn linger(reader: &mut BufReader<TcpStream>) -> Linger {
-    let stream = reader.get_ref();
-    if stream.set_read_timeout(Some(LINGER)).is_err() {
-        return Linger::Closed;
-    }
-    match reader.fill_buf() {
-        Ok([]) => Linger::Closed,
-        Ok(_) => Linger::Data,
-        Err(e)
-            if matches!(
-                e.kind(),
-                io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-            ) =>
-        {
-            Linger::Idle
-        }
-        Err(_) => Linger::Closed,
-    }
-}
-
-/// Serves requests off one connection until it goes quiet (→ parked),
-/// closes, or asks for shutdown.
-fn serve_connection(ctx: &Ctx, mut conn: Conn) -> io::Result<()> {
-    conn.stream.set_read_timeout(ctx.read_timeout)?;
-    conn.stream.set_write_timeout(ctx.write_timeout)?;
-    let mut reader = BufReader::new(conn.stream.try_clone()?);
-    let mut writer = BufWriter::new(conn.stream.try_clone()?);
+/// Serves requests off one connection until it closes, idles past the
+/// keep-alive timeout, or asks for shutdown.
+fn serve_connection(ctx: &Ctx, stream: TcpStream) -> io::Result<()> {
+    stream.set_write_timeout(ctx.write_timeout)?;
+    let mut reader = BufReader::new(stream.try_clone()?);
+    let mut writer = BufWriter::new(stream);
     let metrics = &ctx.service.metrics;
-    let mut burst = 0u64;
+    let mut served = 0u64;
     loop {
+        if reader.buffer().is_empty() {
+            // Wait for the next request's first byte, at most the
+            // keep-alive timeout; then read the rest under the
+            // per-request timeout.
+            reader
+                .get_ref()
+                .set_read_timeout(Some(ctx.keep_alive_timeout))?;
+            match reader.fill_buf() {
+                Ok([]) => return Ok(()),
+                Ok(_) => {}
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                    ) =>
+                {
+                    metrics.reaped_idle_sockets.fetch_add(1, Ordering::Relaxed);
+                    return Ok(());
+                }
+                Err(e) => return Err(e),
+            }
+            reader.get_ref().set_read_timeout(ctx.read_timeout)?;
+        } else if served > 0 {
+            // The request sat in the buffer behind the previous one.
+            metrics.pipelined_requests.fetch_add(1, Ordering::Relaxed);
+        }
         match read_request(&mut reader) {
             // Clean close between requests — e.g. the shutdown probe.
             Ok(None) => return Ok(()),
             Ok(Some(request)) => {
-                conn.served += 1;
-                burst += 1;
-                if conn.served == 2 {
+                served += 1;
+                if served == 2 {
                     metrics.connections_reused.fetch_add(1, Ordering::Relaxed);
                 }
+                let pass = ctx.gate.enter();
                 // Promise reuse only if the client wants it and the
                 // server is not stopping.
                 let keep_alive = request.keep_alive && !ctx.shutdown.load(Ordering::SeqCst);
                 let handled = ctx.service.handle(&request, &mut writer, keep_alive)?;
                 writer.flush()?;
+                drop(pass);
                 if handled == Handled::ShutdownRequested {
-                    ctx.shutdown.store(true, Ordering::SeqCst);
-                    // Wake the accept loop so it observes the flag.
-                    let _ = TcpStream::connect(ctx.addr);
+                    ctx.stop();
                     return Ok(());
                 }
                 if !keep_alive {
                     return Ok(());
                 }
-                // The next request may already sit in the buffer
-                // (pipelining): serve it without touching the socket.
-                if !reader.buffer().is_empty() {
-                    metrics.pipelined_requests.fetch_add(1, Ordering::Relaxed);
-                    continue;
-                }
-                if burst >= BURST {
-                    // Fairness: this client had a full turn; requeue
-                    // through the reaper so waiting connections get a
-                    // worker. (Only possible buffer-empty, which holds
-                    // here — parking forgets BufReader contents.)
-                    return park(ctx, conn);
-                }
-                match linger(&mut reader) {
-                    Linger::Data => {
-                        // Restore the real timeout for the next parse.
-                        conn.stream.set_read_timeout(ctx.read_timeout)?;
-                        continue;
-                    }
-                    Linger::Closed => return Ok(()),
-                    Linger::Idle => return park(ctx, conn),
-                }
             }
             Err(HttpError::Bad(status, reason)) => {
                 // Framing is broken; answer and close (no way to know
                 // where the next request starts).
-                ctx.service.metrics.count_status(status);
+                metrics.count_status(status);
                 let body = format!(
                     "{{\"error\":{{\"kind\":\"bad_request\",\"message\":\"{}\"}}}}\n",
                     crate::json::escape(&reason)
                 );
-                return write_response(
+                write_response(
                     &mut writer,
                     status,
                     "application/json",
                     body.as_bytes(),
                     false,
-                );
+                )?;
+                return writer.flush();
             }
             // The peer vanished mid-request; nothing to answer.
             Err(HttpError::Io(e)) => return Err(e),
@@ -495,10 +428,50 @@ fn serve_connection(ctx: &Ctx, mut conn: Conn) -> io::Result<()> {
     }
 }
 
-/// Hands the connection to the reaper (closing it if the reaper is
-/// gone, which only happens during shutdown).
-fn park(ctx: &Ctx, conn: Conn) -> io::Result<()> {
-    conn.stream.set_nonblocking(true)?;
-    let _ = ctx.park.send(conn);
-    Ok(())
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn zero(field: &str, config: ServerConfig) {
+        let err = spawn(ServerConfig {
+            addr: "127.0.0.1:0".to_owned(),
+            ..config
+        })
+        .expect_err("a zero timeout is refused");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert!(err.to_string().contains(field), "{err}");
+    }
+
+    #[test]
+    fn zero_read_timeout_is_invalid_input() {
+        zero(
+            "read_timeout",
+            ServerConfig {
+                read_timeout: Some(Duration::ZERO),
+                ..ServerConfig::default()
+            },
+        );
+    }
+
+    #[test]
+    fn zero_write_timeout_is_invalid_input() {
+        zero(
+            "write_timeout",
+            ServerConfig {
+                write_timeout: Some(Duration::ZERO),
+                ..ServerConfig::default()
+            },
+        );
+    }
+
+    #[test]
+    fn zero_keep_alive_timeout_is_invalid_input() {
+        zero(
+            "keep_alive_timeout",
+            ServerConfig {
+                keep_alive_timeout: Duration::ZERO,
+                ..ServerConfig::default()
+            },
+        );
+    }
 }

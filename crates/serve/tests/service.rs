@@ -1,6 +1,7 @@
 //! End-to-end tests over a real socket: ephemeral port, concurrent
-//! clients, fault isolation, graceful shutdown, keep-alive reuse,
-//! pipelining, `/sweep` streaming, and disk-cache warm restarts.
+//! clients, fault isolation, graceful shutdown, keep-alive reuse and
+//! idle reaping, pipelining, the connection cap, `/sweep` streaming,
+//! and disk-cache warm restarts.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -303,16 +304,15 @@ fn sweep_streams_jsonl_over_tcp_in_completion_order() {
 }
 
 #[test]
-fn saturated_dispatch_queue_sheds_with_503_retry_after() {
-    // One worker, stalled, and an explicitly tiny dispatch queue:
-    // accepted connections pile up in the pool queue and then the
-    // bounded dispatch channel behind it. Once both are full the
-    // acceptor must shed — a typed 503 with Retry-After — instead of
-    // blocking new connections behind the stall.
+fn connection_cap_sheds_with_503_retry_after() {
+    // One worker, stalled, and an explicitly tiny connection cap: the
+    // first four connections are admitted and wait behind the stall.
+    // Past the cap the acceptor must shed — a typed 503 with
+    // Retry-After — instead of blocking new connections behind it.
     let mut server = spawn(ServerConfig {
         addr: "127.0.0.1:0".to_owned(),
         workers: 1,
-        dispatch_queue: Some(4),
+        max_connections: Some(4),
         service: ServiceConfig {
             trace_scale: 0.05,
             ..ServiceConfig::default()
@@ -335,7 +335,7 @@ fn saturated_dispatch_queue_sheds_with_503_retry_after() {
         .collect();
 
     // Wait until the acceptor has actually shed, then release the
-    // stalled worker so the queued connections drain normally.
+    // stall so the admitted connections drain normally.
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
     while server
         .service()
@@ -346,7 +346,7 @@ fn saturated_dispatch_queue_sheds_with_503_retry_after() {
     {
         assert!(
             std::time::Instant::now() < deadline,
-            "the saturated queue never shed"
+            "the connection cap never shed"
         );
         std::thread::sleep(Duration::from_millis(5));
     }
@@ -355,7 +355,10 @@ fn saturated_dispatch_queue_sheds_with_503_retry_after() {
     let responses: Vec<_> = clients.into_iter().map(|h| h.join().unwrap()).collect();
     let served = responses.iter().filter(|r| r.status == 200).count();
     let shed: Vec<_> = responses.iter().filter(|r| r.status == 503).collect();
-    assert!(served >= 1, "the queue drains once the stall clears");
+    assert!(
+        served >= 1,
+        "admitted connections drain once the stall clears"
+    );
     assert!(!shed.is_empty(), "over-capacity connections are shed");
     assert_eq!(served + shed.len(), 24, "every connection gets a verdict");
     for response in &shed {
@@ -387,6 +390,139 @@ fn saturated_dispatch_queue_sheds_with_503_retry_after() {
     );
 
     server.shutdown();
+}
+
+/// Opens a raw keep-alive connection, has it answer one `/healthz`,
+/// and returns it idle.
+fn idle_keep_alive(addr: std::net::SocketAddr) -> TcpStream {
+    let mut raw = TcpStream::connect(addr).expect("connect");
+    raw.set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("timeout");
+    raw.write_all(b"GET /healthz HTTP/1.1\r\nhost: t\r\n\r\n")
+        .expect("write");
+    let mut wire = Vec::new();
+    let mut buf = [0u8; 512];
+    while !wire.ends_with(b"\r\n\r\nok\n") {
+        let n = raw.read(&mut buf).expect("read the response");
+        assert!(n > 0, "closed before answering");
+        wire.extend_from_slice(&buf[..n]);
+    }
+    let head = String::from_utf8_lossy(&wire).to_lowercase();
+    assert!(head.contains("connection: keep-alive"), "{head}");
+    raw
+}
+
+fn small_server(workers: usize, keep_alive_timeout: Duration) -> ServerHandle {
+    spawn(ServerConfig {
+        addr: "127.0.0.1:0".to_owned(),
+        workers,
+        keep_alive_timeout,
+        ..ServerConfig::default()
+    })
+    .expect("bind an ephemeral port")
+}
+
+#[test]
+fn idle_keep_alive_socket_is_closed_and_counted() {
+    let mut server = small_server(2, Duration::from_millis(200));
+    let addr = server.addr();
+
+    let mut raw = idle_keep_alive(addr);
+    raw.set_read_timeout(Some(Duration::from_secs(1)))
+        .expect("timeout");
+    let mut byte = [0u8; 1];
+    assert_eq!(
+        raw.read(&mut byte).expect("the server closes within 1 s"),
+        0,
+        "an idle socket is closed, not answered"
+    );
+
+    let page = client::get(addr, "/metrics").expect("metrics").text();
+    assert!(
+        page.contains("warped_serve_reaped_idle_sockets_total 1"),
+        "{page}"
+    );
+    server.shutdown();
+}
+
+#[test]
+fn idle_keep_alive_sockets_do_not_hold_the_only_worker() {
+    let mut server = small_server(1, Duration::from_secs(5));
+    let addr = server.addr();
+    let idle: Vec<_> = (0..6).map(|_| idle_keep_alive(addr)).collect();
+
+    let started = std::time::Instant::now();
+    let health = Client::new(addr)
+        .with_read_timeout(Some(Duration::from_secs(1)))
+        .get("/healthz")
+        .expect("a fresh client is answered");
+    assert_eq!(health.status, 200);
+    assert!(started.elapsed() < Duration::from_secs(1));
+
+    drop(idle);
+    server.shutdown();
+}
+
+#[test]
+fn shutdown_closes_idle_keep_alive_sockets_at_once() {
+    let mut server = small_server(2, ServerConfig::default().keep_alive_timeout);
+    let idle: Vec<_> = (0..4).map(|_| idle_keep_alive(server.addr())).collect();
+
+    let started = std::time::Instant::now();
+    server.shutdown();
+    assert!(
+        started.elapsed() < Duration::from_secs(1),
+        "shutdown waited on idle sockets: {:?}",
+        started.elapsed()
+    );
+    for mut raw in idle {
+        let mut byte = [0u8; 1];
+        assert_eq!(raw.read(&mut byte).expect("EOF"), 0);
+    }
+    assert_eq!(
+        server
+            .service()
+            .metrics
+            .reaped_idle_sockets
+            .load(Ordering::Relaxed),
+        0,
+        "shutdown closes idle sockets without waiting them out"
+    );
+}
+
+#[test]
+fn request_stalled_at_shutdown_still_gets_its_response() {
+    let mut server = small_server(2, Duration::from_secs(5));
+    let addr = server.addr();
+    let service = Arc::clone(server.service());
+    service.set_chaos(ChaosMode::Stall);
+
+    let stalled = std::thread::spawn(move || client::get(addr, "/healthz"));
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while service.metrics.requests.load(Ordering::Relaxed) == 0 {
+        assert!(std::time::Instant::now() < deadline, "never reached handle");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    // Clear the stall only once shutdown is under way: the listener
+    // closes when the acceptor leaves its loop.
+    let release = {
+        let service = Arc::clone(&service);
+        std::thread::spawn(move || {
+            while TcpStream::connect(addr).is_ok() {
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            service.set_chaos(ChaosMode::None);
+        })
+    };
+
+    server.shutdown();
+    release.join().unwrap();
+    let response = stalled
+        .join()
+        .unwrap()
+        .expect("the stalled request is answered");
+    assert_eq!(response.status, 200, "{}", response.text());
+    assert_eq!(response.text(), "ok\n");
 }
 
 #[test]

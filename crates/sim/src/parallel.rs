@@ -14,10 +14,8 @@
 //! `f` itself is deterministic. Workers only race for *which* index they
 //! pull next; results are reassembled by index.
 
-use std::collections::VecDeque;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
 
 /// The environment variable overriding the default worker count.
 pub const JOBS_ENV: &str = "WARPED_JOBS";
@@ -232,224 +230,6 @@ where
     par_map(n, workers, guarded)
 }
 
-/// A job submitted to a [`Pool`].
-type Job = Box<dyn FnOnce() + Send + 'static>;
-
-/// The error returned when submitting to a [`Pool`] that has begun
-/// shutting down.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PoolClosed;
-
-impl std::fmt::Display for PoolClosed {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("worker pool is shutting down")
-    }
-}
-
-impl std::error::Error for PoolClosed {}
-
-struct PoolState {
-    queue: VecDeque<Job>,
-    closed: bool,
-}
-
-struct PoolShared {
-    state: Mutex<PoolState>,
-    /// Wakes workers when a job arrives or the pool closes.
-    work_ready: Condvar,
-    /// Wakes submitters blocked on a full queue.
-    space_ready: Condvar,
-    capacity: usize,
-}
-
-/// A long-lived bounded worker pool for service workloads.
-///
-/// Where [`par_map`] fans a *finite batch* across scoped threads and
-/// joins them, a `Pool` serves an *open-ended stream* of jobs — the
-/// shape a network listener produces. Jobs are boxed closures pulled
-/// from a bounded FIFO by a fixed set of worker threads; a full queue
-/// applies backpressure by blocking the submitter (an accept loop
-/// stalls instead of buffering unboundedly).
-///
-/// Shutdown is graceful by construction: [`Pool::shutdown`] (also run
-/// on drop) closes the queue to new work, lets the workers drain every
-/// job already accepted, and joins them. A job that panics is caught
-/// and counted — one poisoned request cannot take a worker (or the
-/// process) down.
-///
-/// # Examples
-///
-/// ```
-/// use std::sync::atomic::{AtomicUsize, Ordering};
-/// use std::sync::Arc;
-/// use warped_sim::parallel::Pool;
-///
-/// let done = Arc::new(AtomicUsize::new(0));
-/// let mut pool = Pool::new(4, 16);
-/// for _ in 0..32 {
-///     let done = Arc::clone(&done);
-///     pool.submit(move || {
-///         done.fetch_add(1, Ordering::Relaxed);
-///     })
-///     .unwrap();
-/// }
-/// pool.shutdown();
-/// assert_eq!(done.load(Ordering::Relaxed), 32);
-/// ```
-pub struct Pool {
-    shared: Arc<PoolShared>,
-    workers: Vec<std::thread::JoinHandle<()>>,
-    panics: Arc<AtomicUsize>,
-}
-
-impl Pool {
-    /// Spawns `workers` threads serving a queue of at most `capacity`
-    /// pending jobs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `workers` or `capacity` is zero.
-    #[must_use]
-    pub fn new(workers: usize, capacity: usize) -> Self {
-        assert!(workers > 0, "need at least one worker");
-        assert!(capacity > 0, "queue capacity must be positive");
-        let shared = Arc::new(PoolShared {
-            state: Mutex::new(PoolState {
-                queue: VecDeque::with_capacity(capacity),
-                closed: false,
-            }),
-            work_ready: Condvar::new(),
-            space_ready: Condvar::new(),
-            capacity,
-        });
-        let panics = Arc::new(AtomicUsize::new(0));
-        let handles = (0..workers)
-            .map(|i| {
-                let shared = Arc::clone(&shared);
-                let panics = Arc::clone(&panics);
-                std::thread::Builder::new()
-                    .name(format!("warped-pool-{i}"))
-                    .spawn(move || loop {
-                        let job = {
-                            let mut state = shared
-                                .state
-                                .lock()
-                                .unwrap_or_else(std::sync::PoisonError::into_inner);
-                            loop {
-                                if let Some(job) = state.queue.pop_front() {
-                                    shared.space_ready.notify_one();
-                                    break job;
-                                }
-                                if state.closed {
-                                    return;
-                                }
-                                state = shared
-                                    .work_ready
-                                    .wait(state)
-                                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                            }
-                        };
-                        if std::panic::catch_unwind(AssertUnwindSafe(job)).is_err() {
-                            panics.fetch_add(1, Ordering::Relaxed);
-                        }
-                    })
-                    .expect("spawning a pool worker failed")
-            })
-            .collect();
-        Pool {
-            shared,
-            workers: handles,
-            panics,
-        }
-    }
-
-    /// Enqueues a job, blocking while the queue is at capacity
-    /// (backpressure).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PoolClosed`] once [`Pool::shutdown`] has begun; the
-    /// job is handed back untouched inside the closure it arrived in —
-    /// it will never run.
-    pub fn submit<F>(&self, job: F) -> Result<(), PoolClosed>
-    where
-        F: FnOnce() + Send + 'static,
-    {
-        let mut state = self
-            .shared
-            .state
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        loop {
-            if state.closed {
-                return Err(PoolClosed);
-            }
-            if state.queue.len() < self.shared.capacity {
-                state.queue.push_back(Box::new(job));
-                self.shared.work_ready.notify_one();
-                return Ok(());
-            }
-            state = self
-                .shared
-                .space_ready
-                .wait(state)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-        }
-    }
-
-    /// Jobs currently waiting in the queue (not yet picked up).
-    #[must_use]
-    pub fn queued(&self) -> usize {
-        self.shared
-            .state
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .queue
-            .len()
-    }
-
-    /// Jobs that panicked on a worker (each was caught and isolated).
-    #[must_use]
-    pub fn panicked(&self) -> usize {
-        self.panics.load(Ordering::Relaxed)
-    }
-
-    /// Closes the queue to new submissions, drains every job already
-    /// accepted, and joins the workers. Idempotent; also runs on drop.
-    pub fn shutdown(&mut self) {
-        {
-            let mut state = self
-                .shared
-                .state
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            state.closed = true;
-        }
-        self.shared.work_ready.notify_all();
-        self.shared.space_ready.notify_all();
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
-        }
-    }
-}
-
-impl Drop for Pool {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-impl std::fmt::Debug for Pool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Pool")
-            .field("workers", &self.workers.len())
-            .field("capacity", &self.shared.capacity)
-            .field("queued", &self.queued())
-            .field("panicked", &self.panicked())
-            .finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -593,108 +373,6 @@ mod tests {
         assert_eq!(panic_message(formatted.as_ref()), "formatted 3");
         let opaque = std::panic::catch_unwind(|| std::panic::panic_any(17u32)).unwrap_err();
         assert_eq!(panic_message(opaque.as_ref()), "non-string panic payload");
-    }
-
-    #[test]
-    fn pool_runs_every_submitted_job_before_shutdown_returns() {
-        use std::sync::atomic::AtomicUsize;
-        let done = Arc::new(AtomicUsize::new(0));
-        let mut pool = Pool::new(3, 4);
-        for _ in 0..50 {
-            let done = Arc::clone(&done);
-            pool.submit(move || {
-                done.fetch_add(1, Ordering::Relaxed);
-            })
-            .unwrap();
-        }
-        pool.shutdown();
-        assert_eq!(done.load(Ordering::Relaxed), 50, "shutdown must drain");
-        assert_eq!(pool.panicked(), 0);
-    }
-
-    #[test]
-    fn pool_rejects_submissions_after_shutdown() {
-        let mut pool = Pool::new(1, 1);
-        pool.shutdown();
-        assert_eq!(pool.submit(|| {}), Err(PoolClosed));
-        assert_eq!(PoolClosed.to_string(), "worker pool is shutting down");
-    }
-
-    #[test]
-    fn pool_isolates_a_panicking_job() {
-        use std::sync::atomic::AtomicUsize;
-        let done = Arc::new(AtomicUsize::new(0));
-        let mut pool = Pool::new(2, 8);
-        pool.submit(|| panic!("poisoned request")).unwrap();
-        for _ in 0..10 {
-            let done = Arc::clone(&done);
-            pool.submit(move || {
-                done.fetch_add(1, Ordering::Relaxed);
-            })
-            .unwrap();
-        }
-        pool.shutdown();
-        assert_eq!(pool.panicked(), 1, "the panic is counted");
-        assert_eq!(
-            done.load(Ordering::Relaxed),
-            10,
-            "the worker that caught the panic keeps serving"
-        );
-    }
-
-    #[test]
-    fn pool_backpressure_blocks_then_admits() {
-        // One slow worker, capacity 1: the third submit must block
-        // until the queue drains, not drop or error.
-        use std::sync::atomic::AtomicUsize;
-        let done = Arc::new(AtomicUsize::new(0));
-        let gate = Arc::new((Mutex::new(false), Condvar::new()));
-        let mut pool = Pool::new(1, 1);
-        let g = Arc::clone(&gate);
-        pool.submit(move || {
-            let (lock, cv) = &*g;
-            let mut open = lock.lock().unwrap();
-            while !*open {
-                open = cv.wait(open).unwrap();
-            }
-        })
-        .unwrap();
-        let d = Arc::clone(&done);
-        pool.submit(move || {
-            d.fetch_add(1, Ordering::Relaxed);
-        })
-        .unwrap();
-        // Queue is now full; release the gate from another thread so
-        // the blocking third submit can proceed.
-        let opener = {
-            let gate = Arc::clone(&gate);
-            std::thread::spawn(move || {
-                std::thread::sleep(std::time::Duration::from_millis(20));
-                let (lock, cv) = &*gate;
-                *lock.lock().unwrap() = true;
-                cv.notify_all();
-            })
-        };
-        let d = Arc::clone(&done);
-        pool.submit(move || {
-            d.fetch_add(1, Ordering::Relaxed);
-        })
-        .unwrap();
-        opener.join().unwrap();
-        pool.shutdown();
-        assert_eq!(done.load(Ordering::Relaxed), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one worker")]
-    fn pool_rejects_zero_workers() {
-        let _ = Pool::new(0, 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "capacity")]
-    fn pool_rejects_zero_capacity() {
-        let _ = Pool::new(1, 0);
     }
 
     #[test]

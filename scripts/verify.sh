@@ -219,10 +219,10 @@ print(f"trace OK: {len(events)} events, gated lanes on {sorted(gated)}")
 PY
 echo "timeline capture valid, deterministic, and gates all four unit types"
 
-step "serve smoke (HTTP service: healthy, grid-consistent run, cache hit, clean shutdown)"
+step "serve smoke (HTTP service: healthy, grid-consistent run, cache hit, idle reaping, clean shutdown)"
 servelog="$outdir/serve.log"
 cargo run --release -q -p warped-serve --bin warped-serve -- \
-    --addr 127.0.0.1:0 --trace-dir traces >"$servelog" &
+    --addr 127.0.0.1:0 --trace-dir traces --keep-alive-secs 1 >"$servelog" &
 serve_pid=$!
 for _ in $(seq 1 100); do
     grep -q 'listening on' "$servelog" 2>/dev/null && break
@@ -293,14 +293,32 @@ assert "warped_serve_trace_workloads_loaded 6" in metrics, metrics
 assert "warped_serve_trace_parse_errors_total 0" in metrics, metrics
 assert "warped_serve_trace_cells_served_total 1" in metrics, metrics
 
+# --keep-alive-secs 1: a keep-alive socket answered once and then left
+# idle is closed by the server, and counted.
+import socket
+idle = socket.create_connection(("127.0.0.1", int(sys.argv[1])), timeout=5)
+idle.sendall(b"GET /healthz HTTP/1.1\r\nHost: smoke\r\n\r\n")
+wire = b""
+while not wire.endswith(b"\r\n\r\nok\n"):
+    chunk = idle.recv(512)
+    assert chunk, f"closed before answering: {wire!r}"
+    wire += chunk
+assert b"connection: keep-alive" in wire.lower(), wire
+time.sleep(1.5)
+assert idle.recv(1) == b"", "the idle keep-alive socket was not closed"
+idle.close()
+metrics = urllib.request.urlopen(base + "/metrics", timeout=10).read().decode()
+assert "warped_serve_reaped_idle_sockets_total 1" in metrics, metrics
+
 req = urllib.request.Request(base + "/shutdown", data=b"")
 assert urllib.request.urlopen(req, timeout=10).status == 200
 print(f"serve OK: nw/Baseline cycles {first['cycles']} match the grid; "
-      f"2nd request hit the cache; trace:nw cycles {trace_report['cycles']} match")
+      f"2nd request hit the cache; trace:nw cycles {trace_report['cycles']} match; "
+      "idle keep-alive socket reaped")
 PY
 wait "$serve_pid"
 serve_pid=""
-echo "serve smoke passed: healthy, grid-consistent, cached, clean shutdown"
+echo "serve smoke passed: healthy, grid-consistent, cached, idle socket reaped, clean shutdown"
 
 step "serving tier (/sweep vs grid, loadgen keep-alive A/B, warm restart from disk)"
 # A fresh server with the persistent cache enabled. Three identical
