@@ -20,21 +20,44 @@ fn candidates(n: usize) -> Vec<Candidate> {
         .collect()
 }
 
-fn ctx(cands: &[Candidate]) -> IssueCtx {
-    IssueCtx::new(0, 2, cands.to_vec(), [true; NUM_DOMAINS], [8; 4], 16)
+/// 48 ready slots, 40 of them global loads: the ready set of a
+/// memory-bound kernel whose MSHRs are full. Every sixth slot holds an
+/// FP, SFU or store instruction instead. None is INT, so GATES (INT
+/// first, then LDST) reaches the loads too.
+fn mshr_starved() -> Vec<Candidate> {
+    (0..48)
+        .map(|i| {
+            let load = i % 6 != 5;
+            Candidate {
+                slot: WarpSlot(i),
+                unit: if load {
+                    UnitType::Ldst
+                } else {
+                    UnitType::from_index(1 + i / 6 % 3)
+                },
+                is_global_load: load,
+            }
+        })
+        .collect()
 }
 
-fn pick_cost(label: &str, cands: &[Candidate], mut scheduler: impl WarpScheduler) {
-    bench_batched(label, || ctx(cands), |context| scheduler.pick(context));
+fn pick_cost(label: &str, cands: &[Candidate], credits: u32, mut scheduler: impl WarpScheduler) {
+    let ctx = || IssueCtx::new(0, 2, cands.to_vec(), [true; NUM_DOMAINS], [8; 4], credits);
+    bench_batched(label, ctx, |context| scheduler.pick(context));
+}
+
+fn pick_costs(cands: &[Candidate], credits: u32) {
+    pick_cost("two_level", cands, credits, TwoLevelScheduler::new());
+    pick_cost("lrr", cands, credits, LrrScheduler::new());
+    pick_cost("gto", cands, credits, GtoScheduler::new());
+    pick_cost("gates", cands, credits, GatesScheduler::new());
 }
 
 fn main() {
     for n in [4usize, 16, 48, 128] {
         group(&format!("scheduler_pick, {n} ready slots"));
-        let cands = candidates(n);
-        pick_cost("two_level", &cands, TwoLevelScheduler::new());
-        pick_cost("lrr", &cands, LrrScheduler::new());
-        pick_cost("gto", &cands, GtoScheduler::new());
-        pick_cost("gates", &cands, GatesScheduler::new());
+        pick_costs(&candidates(n), 16);
     }
+    group("scheduler_pick, MSHR-starved: 48 ready slots, 40 global loads, 0 credits");
+    pick_costs(&mshr_starved(), 0);
 }

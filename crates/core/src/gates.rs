@@ -176,7 +176,7 @@ impl GatesScheduler {
             return;
         }
         let u = unit.index();
-        for slot in round_robin(ctx.ready_of(unit), self.rotation[u]) {
+        for slot in round_robin(ctx.issuable_of(unit), self.rotation[u]) {
             if ctx.width_left() == 0 {
                 break;
             }

@@ -36,7 +36,7 @@ impl WarpScheduler for GtoScheduler {
         }
         // Fill remaining width oldest-first (slot order approximates
         // age: lower slots were launched earlier within a wave).
-        for slot in round_robin(ctx.ready(), 0) {
+        for slot in round_robin(ctx.issuable(), 0) {
             if ctx.width_left() == 0 {
                 break;
             }

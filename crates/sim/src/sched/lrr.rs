@@ -28,7 +28,7 @@ impl WarpScheduler for LrrScheduler {
     fn pick(&mut self, ctx: &mut IssueCtx) {
         // Scan from the rotation pointer, wrapping around.
         let mut first_issued_slot = None;
-        for slot in round_robin(ctx.ready(), self.next_slot) {
+        for slot in round_robin(ctx.issuable(), self.next_slot) {
             if ctx.width_left() == 0 {
                 break;
             }

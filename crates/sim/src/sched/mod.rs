@@ -314,11 +314,50 @@ impl IssueCtx {
         self.ready_of[unit.index()]
     }
 
+    /// Slots a [`try_issue`](IssueCtx::try_issue) call may still
+    /// accept this cycle: the ready slots minus those already issued,
+    /// minus every global load while the MSHRs have no credit left.
+    ///
+    /// `try_issue` rejects every slot outside this set before any side
+    /// effect, so a scheduler that walks `issuable()` instead of
+    /// [`ready`](IssueCtx::ready) makes the same decisions and skips
+    /// the doomed attempts. The set is a snapshot: width, ports and
+    /// gating still decide each attempt, and credits can run out in
+    /// the middle of a walk.
+    #[must_use]
+    pub fn issuable(&self) -> u128 {
+        self.ready() & self.not_doomed()
+    }
+
+    /// [`issuable`](IssueCtx::issuable) restricted to the slots whose
+    /// next instruction needs `unit`.
+    #[must_use]
+    pub fn issuable_of(&self, unit: UnitType) -> u128 {
+        self.ready_of[unit.index()] & self.not_doomed()
+    }
+
+    /// The complement of the slots `try_issue` rejects on its issued
+    /// and credit checks alone.
+    fn not_doomed(&self) -> u128 {
+        let starved = if self.ldst_load_credits == 0 {
+            self.ready_loads
+        } else {
+            0
+        };
+        !(self.issued | starved)
+    }
+
     /// Slots issued so far this cycle (a subset of
     /// [`ready`](IssueCtx::ready)).
     #[must_use]
     pub fn issued(&self) -> u128 {
         self.issued
+    }
+
+    /// This cycle's issues so far, in issue order: each slot with the
+    /// domain it dispatched to.
+    pub fn issue_order(&self) -> impl Iterator<Item = (WarpSlot, DomainId)> + '_ {
+        self.picks.iter().map(|p| (p.slot, p.domain))
     }
 
     /// Whether the warp in `slot` has already been issued this cycle.
@@ -483,13 +522,6 @@ impl IssueCtx {
         self.attempted_blocked
     }
 
-    #[cfg(test)]
-    pub(crate) fn into_picks(self) -> (Vec<Pick>, [u32; 4], usize) {
-        let demand = self.blocked_demand();
-        let issued = self.picks.len();
-        (self.picks, demand, issued)
-    }
-
     /// The cycle's outcome after [`WarpScheduler::pick`] returns:
     /// `(blocked_demand, issued_count)`. The picks themselves stay in
     /// the context for the owner to apply.
@@ -502,6 +534,10 @@ impl IssueCtx {
 ///
 /// Implementations select ready warps in priority order via
 /// [`IssueCtx::try_issue`]; hard constraints are enforced by the context.
+/// Walk [`IssueCtx::issuable`] (or [`IssueCtx::issuable_of`]) rather
+/// than the ready set: it drops the slots `try_issue` would reject
+/// without side effects, such as global loads while the MSHRs are full,
+/// so MSHR back-pressure adds nothing to the walk.
 pub trait WarpScheduler {
     /// Chooses this cycle's issues.
     fn pick(&mut self, ctx: &mut IssueCtx);
@@ -587,9 +623,8 @@ mod tests {
         let mut ctx = ctx_with(vec![cand(0, UnitType::Int), cand(1, UnitType::Int)]);
         assert!(ctx.try_issue(0));
         assert!(ctx.try_issue(1));
-        let (picks, _, issued) = ctx.into_picks();
-        assert_eq!(issued, 2);
-        let domains: Vec<_> = picks.iter().map(|p| p.domain).collect();
+        let domains: Vec<_> = ctx.issue_order().map(|(_, domain)| domain).collect();
+        assert_eq!(domains.len(), 2);
         assert!(domains.contains(&DomainId::INT0));
         assert!(domains.contains(&DomainId::INT1));
     }
@@ -631,7 +666,7 @@ mod tests {
         assert!(ctx.try_issue(1), "FP unaffected");
         assert!(!ctx.type_powered(UnitType::Int));
         assert!(ctx.type_powered(UnitType::Fp));
-        let (_, demand, _) = ctx.into_picks();
+        let demand = ctx.blocked_demand();
         assert_eq!(demand[UnitType::Int.index()], 1);
         assert_eq!(demand[UnitType::Fp.index()], 0);
     }
@@ -653,8 +688,7 @@ mod tests {
         // The second INT instruction could issue nowhere this cycle and a
         // gated INT cluster exists: the failed attempt is wakeup demand —
         // the sleeping peer is costing dual-issue bandwidth.
-        let (_, demand, _) = ctx.into_picks();
-        assert_eq!(demand[UnitType::Int.index()], 1);
+        assert_eq!(ctx.blocked_demand()[UnitType::Int.index()], 1);
     }
 
     #[test]
@@ -664,8 +698,7 @@ mod tests {
         let mut ctx = ctx_with(vec![cand(0, UnitType::Ldst), cand(1, UnitType::Ldst)]);
         assert!(ctx.try_issue(0));
         assert!(!ctx.try_issue(1));
-        let (_, demand, _) = ctx.into_picks();
-        assert_eq!(demand[UnitType::Ldst.index()], 0);
+        assert_eq!(ctx.blocked_demand()[UnitType::Ldst.index()], 0);
     }
 
     #[test]
@@ -678,8 +711,87 @@ mod tests {
         let mut ctx = IssueCtx::new(0, 2, vec![load], [true; NUM_DOMAINS], [0; 4], 0);
         assert!(!ctx.try_issue(0));
         // MSHR exhaustion is a structural stall, not gating demand.
-        let (_, demand, _) = ctx.into_picks();
-        assert_eq!(demand[UnitType::Ldst.index()], 0);
+        assert_eq!(ctx.blocked_demand()[UnitType::Ldst.index()], 0);
+    }
+
+    fn load(slot: usize) -> Candidate {
+        Candidate {
+            slot: WarpSlot(slot),
+            unit: UnitType::Ldst,
+            is_global_load: true,
+        }
+    }
+
+    #[test]
+    fn issued_slots_leave_the_issuable_set() {
+        let mut ctx = ctx_with(vec![cand(0, UnitType::Int), cand(1, UnitType::Fp)]);
+        assert_eq!(ctx.issuable(), 0b11);
+        assert!(ctx.try_issue(0));
+        assert_eq!(ctx.issuable(), 0b10);
+        assert_eq!(ctx.issuable_of(UnitType::Int), 0);
+        assert_eq!(ctx.issuable_of(UnitType::Fp), 0b10);
+    }
+
+    #[test]
+    fn global_loads_are_issuable_only_with_a_credit() {
+        for credits in [0, 1] {
+            let mut ctx = IssueCtx::new(
+                0,
+                2,
+                vec![load(2), cand(5, UnitType::Int)],
+                [true; NUM_DOMAINS],
+                [0; 4],
+                credits,
+            );
+            let expect = u128::from(credits) << 2;
+            assert_eq!(ctx.issuable_of(UnitType::Ldst), expect, "{credits} credits");
+            assert_eq!(ctx.issuable(), expect | 1 << 5);
+            // The set only ever drops slots `try_issue` would reject.
+            assert_eq!(ctx.try_issue(2), credits == 1);
+        }
+    }
+
+    #[test]
+    fn stores_and_shared_loads_stay_issuable_without_credits() {
+        // Slot 1 is a store or shared load: LDST, but no MSHR needed.
+        let mut ctx = IssueCtx::new(
+            0,
+            2,
+            vec![load(0), cand(1, UnitType::Ldst)],
+            [true; NUM_DOMAINS],
+            [0; 4],
+            0,
+        );
+        assert_eq!(ctx.issuable_of(UnitType::Ldst), 1 << 1);
+        assert_eq!(ctx.ready_count(UnitType::Ldst), 2, "the counters keep both");
+        assert!(ctx.try_issue(1));
+    }
+
+    #[test]
+    fn issuable_is_a_subset_of_ready() {
+        let mut ctx = IssueCtx::new(
+            0,
+            2,
+            vec![
+                load(3),
+                load(64),
+                cand(9, UnitType::Ldst),
+                cand(127, UnitType::Sfu),
+            ],
+            [true; NUM_DOMAINS],
+            [0; 4],
+            1,
+        );
+        assert_eq!(ctx.issuable() & !ctx.ready(), 0);
+        assert!(ctx.try_issue(3));
+        // The one credit is spent: the other load leaves the set. The
+        // store stays, though the LDST port is taken: only the issued
+        // and credit checks narrow the set.
+        assert_eq!(ctx.issuable(), 1 << 9 | 1 << 127);
+        assert_eq!(ctx.issuable() & !ctx.ready(), 0);
+        for unit in UnitType::ALL {
+            assert_eq!(ctx.issuable_of(unit) & !ctx.ready_of(unit), 0, "{unit}");
+        }
     }
 
     #[test]
@@ -694,8 +806,8 @@ mod tests {
                 64,
             );
             assert!(ctx.try_issue(0));
-            let (picks, _, _) = ctx.into_picks();
-            picks[0].domain
+            let (_, domain) = ctx.issue_order().next().unwrap();
+            domain
         };
         assert_eq!(pick_domain(0), DomainId::INT0);
         assert_eq!(pick_domain(1), DomainId::INT1);

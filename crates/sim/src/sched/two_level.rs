@@ -31,7 +31,7 @@ impl WarpScheduler for TwoLevelScheduler {
     fn pick(&mut self, ctx: &mut IssueCtx) {
         // Continue round-robin from just after the last warp that issued.
         let from = self.last_slot.map_or(0, |last| last + 1);
-        for slot in round_robin(ctx.ready(), from) {
+        for slot in round_robin(ctx.issuable(), from) {
             if ctx.width_left() == 0 {
                 break;
             }

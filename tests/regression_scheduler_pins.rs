@@ -1,17 +1,19 @@
-//! Outcome pins for every warp scheduler and for the barrier path.
+//! Outcome pins for every warp scheduler, for MSHR back-pressure and
+//! for the barrier path.
 //!
-//! LRR and GTO run in no benchmark workload and in no grid cell, and
-//! `prop_scheduler.rs` checks only hard constraints, so a change that
-//! silently reorders their picks would go unnoticed without these
-//! literals. Each pin is `(cycles, instructions, dual_issue_cycles)`,
-//! captured before the issue stage moved to slot bitmaps; they must
+//! LRR and GTO run in no benchmark workload and in no grid cell, so a
+//! change that silently reorders their picks would go unnoticed without
+//! these literals. Each pin is `(cycles, instructions,
+//! dual_issue_cycles)`; the flat-memory and barrier pins were captured
+//! before the issue stage moved to slot bitmaps, the back-pressure pins
+//! before schedulers stopped walking credit-starved loads. They must
 //! never be re-baselined to absorb a scheduling change.
 
-use warped_gates_repro::gates::GatesScheduler;
+use warped_gates_repro::gates::{GatesScheduler, Technique};
 use warped_gates_repro::isa::{KernelBuilder, UnitType};
 use warped_gates_repro::prelude::*;
 use warped_gates_repro::sim::{
-    Candidate, GtoScheduler, IssueCtx, LrrScheduler, WarpSlot, NUM_DOMAINS,
+    Candidate, GtoScheduler, HierarchyConfig, IssueCtx, LrrScheduler, WarpSlot, NUM_DOMAINS,
 };
 
 type Pin = (u64, u64, u64);
@@ -81,6 +83,43 @@ fn every_scheduler_reproduces_its_pinned_outcomes() {
             .run();
             assert_eq!(outcome(&out), pin, "{bench:?}/{name} drifted");
         }
+    }
+}
+
+/// `bfs` at scale 0.05 with `HierarchyConfig::default()` armed and the
+/// Warped Gates controller, in [`schedulers`] order. The L1 MSHRs fill
+/// up, so every scheduler walks global loads that cannot issue.
+const BACKPRESSURE_PINS: [Pin; 4] = [
+    (4227, 1182, 131),
+    (4331, 1182, 130),
+    (5426, 1182, 112),
+    (4299, 1182, 165),
+];
+
+#[test]
+fn every_scheduler_reproduces_its_pinned_outcomes_under_mshr_backpressure() {
+    let spec = Benchmark::Bfs.spec().scaled(0.05);
+    let mut cfg = spec.sm_config();
+    cfg.memory.hierarchy = Some(HierarchyConfig::default());
+    let params = *Experiment::paper_defaults().params();
+    for ((name, make), pin) in schedulers().into_iter().zip(BACKPRESSURE_PINS) {
+        let out = Sm::new(
+            cfg.clone(),
+            spec.launch(),
+            make(),
+            Technique::WarpedGates.make_gating(params),
+        )
+        .run();
+        let mem = &out.stats.mem;
+        assert_eq!(
+            mem.mshr_peak, mem.mshr_capacity,
+            "{name}: the L1 MSHRs must fill up for this pin to cover back-pressure"
+        );
+        assert_eq!(
+            outcome(&out),
+            pin,
+            "bfs/{name} drifted under MSHR back-pressure"
+        );
     }
 }
 
