@@ -10,12 +10,18 @@ use warped_sim::{
     NUM_DOMAINS,
 };
 
+/// `n` ready slots cycling INT, FP, SFU, LDST. Every seventh slot that
+/// holds an LDST instruction is a global load; as in the SM, no other
+/// unit's instruction is one.
 fn candidates(n: usize) -> Vec<Candidate> {
     (0..n)
-        .map(|i| Candidate {
-            slot: WarpSlot(i),
-            unit: UnitType::from_index(i % 4),
-            is_global_load: i % 7 == 0,
+        .map(|i| {
+            let unit = UnitType::from_index(i % 4);
+            Candidate {
+                slot: WarpSlot(i),
+                unit,
+                is_global_load: unit == UnitType::Ldst && i % 7 == 0,
+            }
         })
         .collect()
 }

@@ -51,6 +51,13 @@ fn to_io(e: HttpError) -> io::Error {
 
 /// A blocking HTTP/1.1 client bound to one server address, reusing a
 /// single keep-alive connection across sequential requests.
+///
+/// Every request leaves in one `write`: the request line, headers,
+/// blank line and body are encoded into one buffer, reused per client,
+/// before they touch the socket. The socket is `TCP_NODELAY`, so a
+/// head and a body written separately would go out as two segments,
+/// and the server's connection thread would wake for the head, parse
+/// it, then block and wake again for the body.
 #[derive(Debug)]
 pub struct Client {
     addr: SocketAddr,
@@ -62,6 +69,8 @@ pub struct Client {
     /// cluster's forwarding loop guard).
     headers: Vec<(String, String)>,
     conn: Option<BufReader<TcpStream>>,
+    /// The encoded request, reused across requests.
+    buf: Vec<u8>,
     reused: u64,
     connected: u64,
 }
@@ -78,6 +87,7 @@ impl Client {
             connect_timeout: None,
             headers: Vec::new(),
             conn: None,
+            buf: Vec::new(),
             reused: 0,
             connected: 0,
         }
@@ -126,7 +136,7 @@ impl Client {
         self.connected
     }
 
-    fn connect(&mut self) -> io::Result<&mut BufReader<TcpStream>> {
+    fn connect(&mut self) -> io::Result<()> {
         if self.conn.is_none() {
             let stream = match self.connect_timeout {
                 Some(timeout) => TcpStream::connect_timeout(&self.addr, timeout)?,
@@ -140,38 +150,56 @@ impl Client {
         } else {
             self.reused += 1;
         }
-        Ok(self.conn.as_mut().expect("just ensured"))
+        Ok(())
     }
 
     fn send(&mut self, method: &str, path: &str, body: Option<&[u8]>) -> io::Result<()> {
-        let addr = self.addr;
+        self.connect()?;
+        let mut reader = self.conn.take().expect("just connected");
+        let sent = self.write_request(reader.get_mut(), method, path, body);
+        self.conn = Some(reader);
+        sent
+    }
+
+    /// Encodes one request (request line, headers, blank line, body)
+    /// into the reused buffer and hands it to `out` in a single
+    /// `write_all`, so on a `TCP_NODELAY` socket the request leaves as
+    /// one segment and the server reads it with one wakeup.
+    fn write_request(
+        &mut self,
+        out: &mut impl Write,
+        method: &str,
+        path: &str,
+        body: Option<&[u8]>,
+    ) -> io::Result<()> {
         let connection = if self.keep_alive {
             "keep-alive"
         } else {
             "close"
         };
-        let mut head =
-            format!("{method} {path} HTTP/1.1\r\nHost: {addr}\r\nConnection: {connection}\r\n");
+        let buf = &mut self.buf;
+        buf.clear();
+        write!(
+            buf,
+            "{method} {path} HTTP/1.1\r\nHost: {}\r\nConnection: {connection}\r\n",
+            self.addr
+        )?;
         for (name, value) in &self.headers {
-            head.push_str(&format!("{name}: {value}\r\n"));
+            write!(buf, "{name}: {value}\r\n")?;
         }
-        let reader = self.connect()?;
-        let stream = reader.get_mut();
         match body {
             Some(bytes) => {
-                head.push_str(&format!(
+                write!(
+                    buf,
                     "Content-Type: application/json\r\nContent-Length: {}\r\n\r\n",
                     bytes.len()
-                ));
-                stream.write_all(head.as_bytes())?;
-                stream.write_all(bytes)?;
+                )?;
+                buf.extend_from_slice(bytes);
             }
-            None => {
-                head.push_str("\r\n");
-                stream.write_all(head.as_bytes())?;
-            }
+            None => buf.extend_from_slice(b"\r\n"),
         }
-        stream.flush()
+        out.write_all(buf)?;
+        out.flush()
     }
 
     /// Sends one request and reads the full response, transparently
@@ -405,4 +433,63 @@ pub fn post_json(addr: SocketAddr, path: &str, body: &str) -> io::Result<Respons
     Client::new(addr)
         .with_keep_alive(false)
         .post_json(path, body)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A sink that records every `write` call separately.
+    #[derive(Default)]
+    struct Writes(Vec<Vec<u8>>);
+
+    impl Write for Writes {
+        fn write(&mut self, bytes: &[u8]) -> io::Result<usize> {
+            self.0.push(bytes.to_vec());
+            Ok(bytes.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    fn one_write(client: &mut Client, method: &str, path: &str, body: Option<&[u8]>) -> String {
+        let mut out = Writes::default();
+        client
+            .write_request(&mut out, method, path, body)
+            .expect("writes to a Vec never fail");
+        assert_eq!(out.0.len(), 1, "one write call per {method} {path}");
+        String::from_utf8(out.0.remove(0)).expect("ASCII request")
+    }
+
+    #[test]
+    fn every_request_is_one_write_in_the_unchanged_wire_format() {
+        let addr: SocketAddr = "127.0.0.1:8080".parse().unwrap();
+        let mut client = Client::new(addr);
+        assert_eq!(
+            one_write(&mut client, "GET", "/healthz", None),
+            "GET /healthz HTTP/1.1\r\nHost: 127.0.0.1:8080\r\nConnection: keep-alive\r\n\r\n"
+        );
+        let body = br#"{"benchmark":"nw","technique":"baseline"}"#;
+        assert_eq!(
+            one_write(&mut client, "POST", "/run", Some(body)),
+            "POST /run HTTP/1.1\r\nHost: 127.0.0.1:8080\r\nConnection: keep-alive\r\n\
+             Content-Type: application/json\r\nContent-Length: 41\r\n\r\n\
+             {\"benchmark\":\"nw\",\"technique\":\"baseline\"}"
+        );
+        // The cluster's forwarding shape: a closing client with the
+        // loop-guard header. The reused buffer holds nothing of the
+        // previous, longer request.
+        let mut forward = Client::new(addr)
+            .with_keep_alive(false)
+            .with_header("X-Warped-Forwarded", "1");
+        one_write(&mut forward, "POST", "/run", Some(body));
+        assert_eq!(
+            one_write(&mut forward, "POST", "/run", Some(b"{}")),
+            "POST /run HTTP/1.1\r\nHost: 127.0.0.1:8080\r\nConnection: close\r\n\
+             X-Warped-Forwarded: 1\r\n\
+             Content-Type: application/json\r\nContent-Length: 2\r\n\r\n{}"
+        );
+    }
 }

@@ -1,7 +1,7 @@
 //! End-to-end tests over a real socket: ephemeral port, concurrent
 //! clients, fault isolation, graceful shutdown, keep-alive reuse and
-//! idle reaping, pipelining, the connection cap, `/sweep` streaming,
-//! and disk-cache warm restarts.
+//! idle reaping, pipelining, a request split across two writes, the
+//! connection cap, `/sweep` streaming, and disk-cache warm restarts.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -252,6 +252,50 @@ fn two_requests_in_one_tcp_segment_are_both_answered() {
         page.contains("warped_serve_pipelined_requests_total 1"),
         "the second request was served from the read buffer:\n{page}"
     );
+
+    server.shutdown();
+}
+
+/// Sends `head` and `body` on a fresh `TCP_NODELAY` socket, pausing
+/// `gap` between them when it is set (two segments) and writing them
+/// together otherwise (one), and returns the closing response.
+fn raw_post(addr: std::net::SocketAddr, head: &str, body: &str, gap: Option<Duration>) -> String {
+    let mut raw = TcpStream::connect(addr).expect("connect");
+    raw.set_nodelay(true).expect("nodelay");
+    match gap {
+        Some(gap) => {
+            raw.write_all(head.as_bytes()).expect("write head");
+            std::thread::sleep(gap);
+            raw.write_all(body.as_bytes()).expect("write body");
+        }
+        None => raw
+            .write_all(format!("{head}{body}").as_bytes())
+            .expect("write request"),
+    }
+    let mut wire = String::new();
+    raw.read_to_string(&mut wire).expect("read the response");
+    wire
+}
+
+#[test]
+fn request_split_across_two_writes_is_answered_like_one() {
+    let mut server = test_server();
+    let addr = server.addr();
+    let body = r#"{"benchmark":"nw","technique":"baseline","scale":0.05}"#;
+    let head = format!(
+        "POST /run HTTP/1.1\r\nhost: t\r\nconnection: close\r\n\
+         content-type: application/json\r\ncontent-length: {}\r\n\r\n",
+        body.len()
+    );
+
+    let whole = raw_post(addr, &head, body, None);
+    let split = raw_post(addr, &head, body, Some(Duration::from_millis(50)));
+    let body_of = |wire: &str| {
+        assert!(wire.starts_with("HTTP/1.1 200 OK\r\n"), "{wire}");
+        wire.split_once("\r\n\r\n").expect("head ends").1.to_owned()
+    };
+    assert_eq!(body_of(&split), body_of(&whole));
+    assert!(body_of(&whole).contains("\"benchmark\":\"nw\""));
 
     server.shutdown();
 }
