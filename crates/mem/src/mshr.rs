@@ -8,6 +8,8 @@
 //! coalescing). Both files free entries lazily: the hierarchy drains
 //! due fills in deterministic `(fill_cycle, line)` order on `advance`.
 
+use std::collections::VecDeque;
+
 /// One in-flight L1 miss: the missed line, when its fill arrives, and
 /// how many later same-line misses merged into it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -157,15 +159,20 @@ impl MshrFile {
 /// Entry `i` is `lines[i]` plus the per-sector fill cycles
 /// `fills[i * sectors..(i + 1) * sectors]` (0 = sector not in flight)
 /// in one slab sized for the whole file, so allocating an entry never
-/// touches the heap.
+/// touches the heap. The same sector fills also wait in `queue` in fill
+/// order, so a drain pops the due prefix instead of scanning every
+/// line × sector.
 #[derive(Debug, Clone)]
 pub struct L2MshrFile {
     lines: Vec<u64>,
     fills: Vec<u64>,
     capacity: usize,
     sectors: usize,
-    /// Earliest in-flight sector fill (`u64::MAX` when empty).
-    next_due: u64,
+    /// Every in-flight sector fill as `(fill_cycle, l2_line, sector)`,
+    /// ordered by fill cycle (ties in arrival order). The DRAM slot
+    /// reservation hands out non-decreasing fill cycles, so an insert
+    /// is an append in practice.
+    queue: VecDeque<(u64, u64, u32)>,
     peak: u32,
     allocs: u64,
     sector_fetches: u64,
@@ -182,7 +189,7 @@ impl L2MshrFile {
             fills: vec![0; capacity as usize * sectors as usize],
             capacity: capacity as usize,
             sectors: sectors as usize,
-            next_due: u64::MAX,
+            queue: VecDeque::with_capacity(capacity as usize * sectors as usize),
             peak: 0,
             allocs: 0,
             sector_fetches: 0,
@@ -213,7 +220,6 @@ impl L2MshrFile {
     pub fn add_sector(&mut self, l2_line: u64, sector: u32, fill_cycle: u64) -> bool {
         debug_assert!(fill_cycle > 0);
         self.sector_fetches += 1;
-        self.next_due = self.next_due.min(fill_cycle);
         let (i, coalesced) = match self.slot(l2_line) {
             Some(i) => (i, true),
             None => {
@@ -232,6 +238,12 @@ impl L2MshrFile {
         let f = &mut self.fills[i * self.sectors + sector as usize];
         debug_assert_eq!(*f, 0, "sector already in flight");
         *f = fill_cycle;
+        let at = self
+            .queue
+            .iter()
+            .rposition(|&(f, _, _)| f <= fill_cycle)
+            .map_or(0, |p| p + 1);
+        self.queue.insert(at, (fill_cycle, l2_line, sector));
         coalesced
     }
 
@@ -250,45 +262,34 @@ impl L2MshrFile {
     /// The earliest sector fill in flight, or `u64::MAX` when empty.
     #[must_use]
     pub fn next_due(&self) -> u64 {
-        self.next_due
+        self.queue.front().map_or(u64::MAX, |&(f, _, _)| f)
     }
 
     /// Moves every due sector fill into `due` (cleared first) as
-    /// `(fill_cycle, l2_line, sector)`, in deterministic order. A line
-    /// entry is freed once its last in-flight sector fills. O(1) when
+    /// `(fill_cycle, l2_line, sector)`, sorted. A line entry is freed
+    /// once its last in-flight sector fills. Costs O(due fills × live
+    /// lines): the due fills are the queue's prefix, and O(1) when
     /// nothing is due.
     pub fn take_due(&mut self, cycle: u64, due: &mut Vec<(u64, u64, u32)>) {
         due.clear();
-        if cycle < self.next_due {
-            return;
-        }
         let s = self.sectors;
-        let mut next = u64::MAX;
-        let mut i = 0;
-        while i < self.lines.len() {
-            let mut pending = false;
-            for (sector, f) in self.fills[i * s..(i + 1) * s].iter_mut().enumerate() {
-                if *f == 0 {
-                    continue;
-                }
-                if *f <= cycle {
-                    due.push((*f, self.lines[i], sector as u32));
-                    *f = 0;
-                } else {
-                    pending = true;
-                    next = next.min(*f);
-                }
+        while let Some(&(fill, line, sector)) = self.queue.front() {
+            if fill > cycle {
+                break;
             }
-            if pending {
-                i += 1;
-            } else {
+            self.queue.pop_front();
+            due.push((fill, line, sector));
+            let i = self.slot(line).expect("queued fill of a line in flight");
+            self.fills[i * s + sector as usize] = 0;
+            if self.fills[i * s..(i + 1) * s].iter().all(|&f| f == 0) {
                 // Free the entry: the last one moves into its slot.
                 let last = self.lines.len() - 1;
                 self.lines.swap_remove(i);
                 self.fills.copy_within(last * s..(last + 1) * s, i * s);
             }
         }
-        self.next_due = next;
+        // The queue yields ties in arrival order; the sort restores the
+        // `(fill_cycle, line, sector)` order callers rely on.
         due.sort_unstable();
         self.sector_retires += due.len() as u64;
     }

@@ -58,6 +58,7 @@
 #![warn(missing_docs)]
 
 mod config;
+mod decode;
 mod domain;
 mod exec;
 mod gate_iface;
@@ -76,6 +77,7 @@ pub mod trace;
 mod warp;
 
 pub use config::{HierarchyConfig, MemoryConfig, SmConfig};
+pub use decode::{DecodedInstr, DecodedProgram};
 pub use domain::{
     DomainId, DomainLayout, DomainMask, MAX_SP_CLUSTERS, NUM_DOMAINS, NUM_SP_CLUSTERS,
 };

@@ -112,6 +112,9 @@ pub struct IssueCtx {
     /// *across* cycles by the owner ([`IssueCtx::set_ready`] and
     /// [`IssueCtx::clear_ready`]); fixed within a cycle.
     ready_of: [u128; 4],
+    /// The union of `ready_of`, kept with it so the ready set is one
+    /// load.
+    ready_all: u128,
     /// Ready slots whose next instruction is a global load.
     ready_loads: u128,
     /// The unit of each ready slot's next instruction (meaningful only
@@ -223,6 +226,7 @@ impl IssueCtx {
             issue_width,
             layout,
             ready_of: [0; 4],
+            ready_all: 0,
             ready_loads: 0,
             unit_of: [UnitType::Int; SLOTS],
             ready_counts: [0; 4],
@@ -246,6 +250,7 @@ impl IssueCtx {
         let bit = 1u128 << slot;
         debug_assert_eq!(self.ready() & bit, 0, "slot {slot} is already ready");
         self.ready_of[unit.index()] |= bit;
+        self.ready_all |= bit;
         if is_global_load {
             self.ready_loads |= bit;
         }
@@ -259,6 +264,7 @@ impl IssueCtx {
         let u = self.unit_of[slot].index();
         if self.ready_of[u] & bit != 0 {
             self.ready_of[u] &= !bit;
+            self.ready_all &= !bit;
             self.ready_loads &= !bit;
             self.ready_counts[u] -= 1;
         }
@@ -304,7 +310,7 @@ impl IssueCtx {
     /// issued ones included.
     #[must_use]
     pub fn ready(&self) -> u128 {
-        self.ready_of[0] | self.ready_of[1] | self.ready_of[2] | self.ready_of[3]
+        self.ready_all
     }
 
     /// Slots holding a ready warp whose next instruction needs `unit`,
@@ -450,6 +456,7 @@ impl IssueCtx {
     ///
     /// Panics if `slot` holds no ready warp (not in
     /// [`ready`](IssueCtx::ready)): there is no instruction to issue.
+    #[inline]
     pub fn try_issue(&mut self, slot: usize) -> bool {
         assert!(
             slot < SLOTS && self.ready() >> slot & 1 == 1,

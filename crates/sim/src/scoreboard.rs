@@ -9,13 +9,25 @@ use warped_isa::{Instruction, Reg, NUM_REGS};
 
 const WORDS: usize = (NUM_REGS as usize).div_ceil(64);
 
-/// A fixed-width bitset over architectural registers.
+/// A fixed-width bitset over architectural registers: the scoreboard's
+/// pending sets, and the register footprint the decoded program keeps
+/// per static instruction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-struct RegSet {
+pub(crate) struct RegMask {
     words: [u64; WORDS],
 }
 
-impl RegSet {
+impl RegMask {
+    /// The registers `instr` reads or writes: its sources and its
+    /// destination, the set a scoreboard test checks for hazards.
+    pub(crate) fn touched_by(instr: &Instruction) -> Self {
+        let mut m = RegMask::default();
+        for r in instr.sources().chain(instr.destination()) {
+            m.set(r);
+        }
+        m
+    }
+
     fn set(&mut self, r: Reg) {
         let i = r.index() as usize;
         self.words[i / 64] |= 1 << (i % 64);
@@ -26,9 +38,27 @@ impl RegSet {
         self.words[i / 64] &= !(1 << (i % 64));
     }
 
-    fn contains(&self, r: Reg) -> bool {
+    pub(crate) fn contains(&self, r: Reg) -> bool {
         let i = r.index() as usize;
         self.words[i / 64] & (1 << (i % 64)) != 0
+    }
+
+    /// Whether `self` and `other` share a register (one AND per word,
+    /// folded before the single test).
+    fn meets(&self, other: &RegMask) -> bool {
+        let mut hit = 0;
+        for (a, b) in self.words.iter().zip(&other.words) {
+            hit |= a & b;
+        }
+        hit != 0
+    }
+
+    fn union(&self, other: &RegMask) -> RegMask {
+        let mut m = *self;
+        for (a, b) in m.words.iter_mut().zip(&other.words) {
+            *a |= b;
+        }
+        m
     }
 
     fn is_empty(&self) -> bool {
@@ -55,8 +85,8 @@ impl RegSet {
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Scoreboard {
-    pending_short: RegSet,
-    pending_long: RegSet,
+    pending_short: RegMask,
+    pending_long: RegMask,
 }
 
 impl Scoreboard {
@@ -70,17 +100,7 @@ impl Scoreboard {
     /// has no in-flight writer (WAW protection).
     #[must_use]
     pub fn is_ready(&self, instr: &Instruction) -> bool {
-        for s in instr.sources() {
-            if self.pending_short.contains(s) || self.pending_long.contains(s) {
-                return false;
-            }
-        }
-        if let Some(d) = instr.destination() {
-            if self.pending_short.contains(d) || self.pending_long.contains(d) {
-                return false;
-            }
-        }
-        true
+        self.is_ready_for(&RegMask::touched_by(instr))
     }
 
     /// Whether `instr` is blocked (directly) by a long-latency producer.
@@ -89,17 +109,18 @@ impl Scoreboard {
     /// pending set in the two-level scheduler.
     #[must_use]
     pub fn waits_on_long(&self, instr: &Instruction) -> bool {
-        for s in instr.sources() {
-            if self.pending_long.contains(s) {
-                return true;
-            }
-        }
-        if let Some(d) = instr.destination() {
-            if self.pending_long.contains(d) {
-                return true;
-            }
-        }
-        false
+        self.waits_on_long_for(&RegMask::touched_by(instr))
+    }
+
+    /// [`Scoreboard::is_ready`] for an instruction whose register
+    /// footprint ([`RegMask::touched_by`]) is already decoded.
+    pub(crate) fn is_ready_for(&self, touched: &RegMask) -> bool {
+        !touched.meets(&self.pending_short.union(&self.pending_long))
+    }
+
+    /// [`Scoreboard::waits_on_long`] for a decoded register footprint.
+    pub(crate) fn waits_on_long_for(&self, touched: &RegMask) -> bool {
+        touched.meets(&self.pending_long)
     }
 
     /// Records the issue of `instr`: marks its destination pending.

@@ -12,7 +12,8 @@ use crate::sched::{IssueCtx, WarpScheduler, SLOTS};
 use crate::stats::SimStats;
 use crate::timeq::TimeQ;
 use crate::trace::{CycleObserver, CycleSample, NullObserver, SpanSample};
-use crate::warp::{Warp, WarpClass, WarpId, WarpSlot};
+use crate::warp::{NextMeta, Warp, WarpClass, WarpId, WarpSlot};
+use crate::DecodedProgram;
 use warped_isa::{Instruction, Kernel, MemSpace, Opcode, Reg, UnitType};
 
 /// Occupancy of the LD/ST pipeline per memory instruction, in cycles
@@ -37,8 +38,31 @@ fn event_horizon(mem: &MemorySubsystem, kernel: &Kernel) -> usize {
     longest as usize + 64
 }
 
-/// Sentinel for a slot contributing nothing to the active-subset counts.
-const NO_CONTRIB: u8 = u8::MAX;
+/// What a slot is indexed under in the maintained bitmaps and counters:
+/// its warp's cached class and the decode of its next instruction. The
+/// index entries are a pure function of this pair, so a reclassify that
+/// leaves it unchanged leaves the index as it is.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Indexed {
+    class: WarpClass,
+    meta: Option<NextMeta>,
+}
+
+impl Indexed {
+    /// The entry of a slot that contributes nothing (vacant, or between
+    /// [`Sm::unindex_slot`] and [`Sm::index_slot`]).
+    const NONE: Indexed = Indexed {
+        class: WarpClass::Draining,
+        meta: None,
+    };
+
+    fn of(w: &Warp, program: &DecodedProgram) -> Self {
+        Indexed {
+            class: w.class,
+            meta: w.next_meta(program),
+        }
+    }
+}
 
 /// An event scheduled for a future cycle.
 #[derive(Debug, Clone, Copy)]
@@ -81,6 +105,9 @@ pub struct Sm {
     config: SmConfig,
     layout: DomainLayout,
     kernel: Kernel,
+    /// `kernel`'s static instructions, decoded once; warps hold indices
+    /// into it.
+    program: DecodedProgram,
     total_warps: u32,
     block_warps: u32,
     stagger: u32,
@@ -139,6 +166,9 @@ pub struct Sm {
     /// Slots whose warp's cached class is in the active set
     /// (`Ready` or `ActiveWaiting`); a superset of the ready slots.
     active_bits: u128,
+    /// Population of `active_bits`, kept with it (a per-cycle
+    /// `count_ones` is a software bit count on the default target).
+    active_count: u32,
     /// Slots holding a finished-but-unretired warp that is *not* in
     /// `active_bits` — only the barrier-release path can produce one
     /// (an issue leaves the stale class `Ready`; a completion retires
@@ -152,9 +182,9 @@ pub struct Sm {
     /// maintained with the bitmaps. Dirty warps are drained before the
     /// counts are read, so reads always see fresh classifications.
     active_subset: [u32; 4],
-    /// Per-slot unit index currently counted into `active_subset`
-    /// ([`NO_CONTRIB`] when the slot contributes nothing).
-    contrib: Vec<u8>,
+    /// Per slot, the `(class, meta)` pair its index entries were built
+    /// from ([`Indexed::NONE`] when it contributes nothing).
+    indexed: Vec<Indexed>,
     /// Scheduler fast-forward veto memo: a veto over a span holds for
     /// the whole span (nothing the scheduler could observe changes
     /// before the event bounding it), so
@@ -209,6 +239,7 @@ impl Sm {
         let warps_per_wave = total_warps.div_ceil(waves);
         let mem = MemorySubsystem::new(config.memory.clone());
         let events = TimeQ::with_horizon(event_horizon(&mem, &kernel));
+        let program = DecodedProgram::new(&kernel);
         let slots = (0..config.max_resident_warps).map(|_| None).collect();
         let layout = DomainLayout::new(config.sp_clusters);
         let mut stats = SimStats::new();
@@ -224,13 +255,14 @@ impl Sm {
             gating.set_recorder(rec.clone());
             scheduler.set_recorder(rec.clone());
         }
-        let contrib = vec![NO_CONTRIB; config.max_resident_warps];
+        let indexed = vec![Indexed::NONE; config.max_resident_warps];
         let ctx = IssueCtx::persistent(layout, config.issue_width);
         let groups = config.max_resident_warps.div_ceil(block_warps as usize);
         Sm {
             config,
             layout,
             kernel,
+            program,
             total_warps,
             block_warps,
             stagger,
@@ -256,10 +288,11 @@ impl Sm {
             group_barrier: vec![0; groups],
             releasable: 0,
             active_bits: 0,
+            active_count: 0,
             finished_bits: 0,
             dirty_bits: 0,
             active_subset: [0; 4],
-            contrib,
+            indexed,
             veto_until: 0,
             ff_transitions: Vec::new(),
             sanitizer,
@@ -267,63 +300,67 @@ impl Sm {
         }
     }
 
-    /// Records slot `i`'s current cached classification (and, for
-    /// active-set warps, its next instruction's unit) into the
-    /// maintained bitmaps and counters. Must mirror every class-field
-    /// write; [`Sm::unindex_slot`] is its exact inverse.
-    fn index_slot(&mut self, i: usize) {
-        let w = self.slots[i].as_ref().expect("indexing a vacated slot");
-        let (class, next_meta, in_active_set) = (w.class, w.next_meta, w.in_active_set());
+    /// Records slot `i` as indexed under `entry` (its warp's cached
+    /// class and next-instruction decode) in the maintained bitmaps and
+    /// counters. Must mirror every class-field write; [`Sm::unindex_slot`]
+    /// is its exact inverse.
+    fn index_slot(&mut self, i: usize, entry: Indexed) {
+        debug_assert_eq!(self.indexed[i], Indexed::NONE, "slot {i} indexed twice");
         let bit = 1u128 << i;
         // A just-launched warp of an empty kernel carries the stale
         // launch class `Ready` with no next instruction; it retires at
         // its first reclassify drain, before the ready set or the
         // subset counts are ever read, so it is neither ready nor
         // counted here.
-        match (class, next_meta) {
-            (WarpClass::Ready, Some(meta)) => {
-                self.ctx.set_ready(i, meta.unit, meta.is_global_load);
-                self.active_bits |= bit;
-            }
-            (WarpClass::Ready | WarpClass::ActiveWaiting, _) => self.active_bits |= bit,
+        match (entry.class, entry.meta) {
+            (WarpClass::Ready, Some(meta)) => self.ctx.set_ready(i, meta.unit, meta.is_global_load),
             (WarpClass::Barrier, _) => {
                 let g = self.group_of(i);
                 self.group_barrier[g] += 1;
                 self.update_group(g);
             }
-            (WarpClass::Pending | WarpClass::Draining, _) => {}
+            _ => {}
         }
-        if in_active_set {
-            if let Some(meta) = next_meta {
+        if entry.class.in_active_set() {
+            self.active_bits |= bit;
+            self.active_count += 1;
+            if let Some(meta) = entry.meta {
                 self.active_subset[meta.unit.index()] += 1;
-                self.contrib[i] = meta.unit.index() as u8;
             }
         }
+        self.indexed[i] = entry;
     }
 
     /// Removes slot `i`'s contribution from the maintained bitmaps and
-    /// counters, based on its current cached class and the recorded
-    /// subset contribution. Call *before* mutating the warp's class.
+    /// counters, based on the entry it was indexed under (not on its
+    /// warp's class, which may have changed since).
     fn unindex_slot(&mut self, i: usize) {
-        let w = self.slots[i].as_ref().expect("unindexing a vacated slot");
+        let entry = std::mem::replace(&mut self.indexed[i], Indexed::NONE);
         let bit = 1u128 << i;
-        match w.class {
-            WarpClass::Ready => {
-                self.ctx.clear_ready(i);
-                self.active_bits &= !bit;
-            }
-            WarpClass::ActiveWaiting => self.active_bits &= !bit,
+        match entry.class {
+            WarpClass::Ready => self.ctx.clear_ready(i),
             WarpClass::Barrier => {
                 let g = self.group_of(i);
                 self.group_barrier[g] -= 1;
                 self.update_group(g);
             }
-            WarpClass::Pending | WarpClass::Draining => {}
+            _ => {}
         }
-        let c = self.contrib[i];
-        if c != NO_CONTRIB {
-            self.active_subset[c as usize] -= 1;
-            self.contrib[i] = NO_CONTRIB;
+        if entry.class.in_active_set() {
+            self.active_bits &= !bit;
+            self.active_count -= 1;
+            if let Some(meta) = entry.meta {
+                self.active_subset[meta.unit.index()] -= 1;
+            }
+        }
+    }
+
+    /// Re-indexes slot `i` under `entry`, skipping the
+    /// unindex/index pair when the slot is already indexed under it.
+    fn reindex_slot(&mut self, i: usize, entry: Indexed) {
+        if self.indexed[i] != entry {
+            self.unindex_slot(i);
+            self.index_slot(i, entry);
         }
     }
 
@@ -455,7 +492,7 @@ impl Sm {
                     if self.launched == self.total_warps {
                         break;
                     }
-                    let mut warp = Warp::launch(WarpId(self.launched), &self.kernel);
+                    let mut warp = Warp::launch(WarpId(self.launched), &self.kernel, &self.program);
                     if self.stagger > 0 {
                         // Deterministic per-warp phase offset (splitmix64).
                         let mut h = u64::from(self.launched).wrapping_mul(0x9e37_79b9_7f4a_7c15);
@@ -466,8 +503,9 @@ impl Sm {
                         for _ in 0..skip {
                             warp.cursor.advance(&self.kernel);
                         }
-                        warp.refresh_next(&self.kernel);
+                        warp.refresh_next(&self.program);
                     }
+                    let entry = Indexed::of(&warp, &self.program);
                     self.slots[i] = Some(warp);
                     self.launched += 1;
                     self.live_warps += 1;
@@ -475,7 +513,7 @@ impl Sm {
                     // barrier, so its group cannot turn releasable.
                     self.group_live[g0 / group] += 1;
                     self.dirty_bits |= 1u128 << i;
-                    self.index_slot(i);
+                    self.index_slot(i, entry);
                 }
             }
             g0 = g1;
@@ -528,24 +566,21 @@ impl Sm {
         // Phase 2: reclassify warps whose inputs changed since the last
         // classification (classes are pure functions of the I-buffer
         // entry and the scoreboard, so clean warps keep theirs), retire
-        // finished ones, and re-index each into the maintained bitmaps.
-        // Only dirty warps are visited — clean warps keep their class
-        // and their index entries, so this drain costs O(changes), not
-        // O(resident slots).
+        // finished ones, and re-index each whose `(class, meta)` pair
+        // changed. Only dirty warps are visited — clean warps keep their
+        // class and their index entries, so this drain costs
+        // O(changes), not O(resident slots).
         let mut dirty = self.dirty_bits;
         self.dirty_bits = 0;
         while dirty != 0 {
             let i = dirty.trailing_zeros() as usize;
             dirty &= dirty - 1;
-            let finished = match self.slots[i].as_ref() {
-                Some(w) => {
-                    debug_assert!(w.dirty, "dirty bit set for a clean warp");
-                    w.is_finished()
-                }
-                None => continue,
+            let Some(w) = self.slots[i].as_mut() else {
+                continue;
             };
-            self.unindex_slot(i);
-            if finished {
+            debug_assert!(w.dirty, "dirty bit set for a clean warp");
+            if w.is_finished() {
+                self.unindex_slot(i);
                 self.slots[i] = None;
                 let g = self.group_of(i);
                 self.group_live[g] -= 1;
@@ -555,10 +590,10 @@ impl Sm {
                 self.refill_hint = true;
                 self.finished_bits &= !(1u128 << i);
             } else {
-                let w = self.slots[i].as_mut().expect("drained a vacated slot");
-                w.reclassify();
+                w.reclassify(&self.program);
                 w.dirty = false;
-                self.index_slot(i);
+                let entry = Indexed::of(w, &self.program);
+                self.reindex_slot(i, entry);
             }
         }
 
@@ -567,7 +602,7 @@ impl Sm {
         // release re-indexes each released warp inline.
         self.release_barriers();
 
-        let active_count = self.active_bits.count_ones();
+        let active_count = self.active_count;
         self.stats.active_warp_cycles += u64::from(active_count);
         self.stats.active_warps_max = self.stats.active_warps_max.max(active_count);
 
@@ -728,54 +763,86 @@ impl Sm {
 
     /// Sanitizer cross-check of the maintained issue-stage index:
     /// re-derives the ready bitmaps (with each ready slot's unit and
-    /// load flag), the active set, the per-group live and at-barrier
-    /// counts, and the releasable groups from `slots` alone, and panics
-    /// on the first mismatch with what [`Sm::index_slot`] and friends
-    /// maintain.
+    /// load flag) and their union, the active set and its population,
+    /// each slot's recorded `(class, meta)` pair (and, for clean warps,
+    /// that the cached class is what a fresh classification gives), the
+    /// per-group live and at-barrier counts, and the releasable groups
+    /// from `slots` alone, and panics on the first mismatch with what
+    /// [`Sm::index_slot`] and friends maintain.
     fn assert_indexed(&self) {
+        let cycle = self.cycle;
         let mut ready = [0u128; 4];
         let mut active = 0u128;
         let mut live = vec![0u32; self.group_live.len()];
         let mut barrier = vec![0u32; self.group_barrier.len()];
         for (i, w) in self.slots.iter().enumerate() {
-            let Some(w) = w else { continue };
+            let Some(w) = w else {
+                assert_eq!(
+                    self.indexed[i],
+                    Indexed::NONE,
+                    "sanitizer: vacant slot {i} still indexed at cycle {cycle}"
+                );
+                continue;
+            };
             let bit = 1u128 << i;
+            let meta = w.next_meta(&self.program);
             live[self.group_of(i)] += 1;
-            if w.in_active_set() {
+            if w.class.in_active_set() {
                 active |= bit;
             }
-            match (w.class, w.next_meta) {
+            match (w.class, meta) {
                 (WarpClass::Ready, Some(meta)) => {
                     ready[meta.unit.index()] |= bit;
                     assert_eq!(
                         self.ctx.ready_meta(i),
                         (meta.unit, meta.is_global_load),
-                        "sanitizer: stale ready metadata for slot {i} at cycle {}",
-                        self.cycle
+                        "sanitizer: stale ready metadata for slot {i} at cycle {cycle}"
                     );
                 }
                 (WarpClass::Barrier, _) => barrier[self.group_of(i)] += 1,
                 _ => {}
+            }
+            assert_eq!(
+                self.indexed[i],
+                Indexed {
+                    class: w.class,
+                    meta
+                },
+                "sanitizer: slot {i} indexed under a stale (class, meta) at cycle {cycle}"
+            );
+            if !w.dirty {
+                assert_eq!(
+                    w.classify(&self.program),
+                    w.class,
+                    "sanitizer: clean warp in slot {i} carries a stale class at cycle {cycle}"
+                );
             }
         }
         for unit in UnitType::ALL {
             assert_eq!(
                 self.ctx.ready_of(unit),
                 ready[unit.index()],
-                "sanitizer: {unit} ready bitmap drifted at cycle {}",
-                self.cycle
+                "sanitizer: {unit} ready bitmap drifted at cycle {cycle}"
             );
         }
         assert_eq!(
+            self.ctx.ready(),
+            ready.iter().fold(0, |all, r| all | r),
+            "sanitizer: ready union drifted at cycle {cycle}"
+        );
+        assert_eq!(
             self.active_bits, active,
-            "sanitizer: active-set bitmap drifted at cycle {}",
-            self.cycle
+            "sanitizer: active-set bitmap drifted at cycle {cycle}"
+        );
+        assert_eq!(
+            self.active_count,
+            active.count_ones(),
+            "sanitizer: active-set count drifted at cycle {cycle}"
         );
         assert_eq!(
             (&self.group_live, &self.group_barrier),
             (&live, &barrier),
-            "sanitizer: group (live, at-barrier) counters drifted at cycle {}",
-            self.cycle
+            "sanitizer: group (live, at-barrier) counters drifted at cycle {cycle}"
         );
         let releasable = live
             .iter()
@@ -785,8 +852,7 @@ impl Sm {
             .fold(0u128, |bits, (g, _)| bits | 1u128 << g);
         assert_eq!(
             self.releasable, releasable,
-            "sanitizer: releasable groups drifted at cycle {}",
-            self.cycle
+            "sanitizer: releasable groups drifted at cycle {cycle}"
         );
     }
 
@@ -889,19 +955,19 @@ impl Sm {
                 if self.slots[i].is_none() {
                     continue;
                 }
-                self.unindex_slot(i);
                 let w = self.slots[i].as_mut().expect("released a vacated slot");
                 debug_assert_eq!(w.class, WarpClass::Barrier);
                 w.cursor.advance(&self.kernel);
-                w.refresh_next(&self.kernel);
+                w.refresh_next(&self.program);
                 // A released warp may sit at its next barrier
                 // already (back-to-back barriers).
-                w.reclassify();
+                w.reclassify(&self.program);
                 // The advance may have finished the warp; leave the
                 // retirement test to the next classification drain.
                 w.dirty = true;
                 let finished = w.is_finished();
-                self.index_slot(i);
+                let entry = Indexed::of(w, &self.program);
+                self.reindex_slot(i, entry);
                 self.dirty_bits |= 1u128 << i;
                 if finished {
                     self.finished_bits |= 1u128 << i;
@@ -913,8 +979,12 @@ impl Sm {
     /// Applies a validated issue decision.
     fn apply_issue(&mut self, slot: WarpSlot, domain: DomainId) {
         let w = self.slots[slot.0].as_mut().expect("pick for vacated slot");
-        let instr = w.next_instr.expect("pick for warp without instruction");
-        debug_assert_eq!(instr.unit(), domain.unit(), "pick routed to wrong unit");
+        let decoded = self
+            .program
+            .get(w.next.expect("pick for warp without instruction"));
+        let instr = decoded.instr();
+        let unit = decoded.meta.unit;
+        debug_assert_eq!(unit, domain.unit(), "pick routed to wrong unit");
 
         let (pipe_occ, complete_in, frees_mshr) = match instr.opcode() {
             Opcode::Load(MemSpace::Global) => {
@@ -959,19 +1029,20 @@ impl Sm {
             _ => (instr.latency(), instr.latency(), false),
         };
 
-        w.scoreboard.record_issue(&instr);
+        w.scoreboard.record_issue(instr);
         w.in_flight += 1;
         w.dirty = true;
         let warp_id = w.id;
+        let dst = instr.destination();
         w.cursor.advance(&self.kernel);
-        w.refresh_next(&self.kernel);
+        w.refresh_next(&self.program);
         // The stale `Ready` class (and its index entries) stand until
         // the next cycle's reclassify drain — exactly the staleness
         // window the pre-bitmap scan had.
         self.dirty_bits |= 1u128 << slot.0;
 
         self.units.issue(domain);
-        self.stats.issued_by_type[instr.unit().index()] += 1;
+        self.stats.issued_by_type[unit.index()] += 1;
         self.stats.units[domain.index()].issued += 1;
 
         // Pipe retire precedes completion when both land on one cycle
@@ -986,7 +1057,7 @@ impl Sm {
             Event::Complete {
                 slot,
                 warp: warp_id,
-                dst: instr.destination(),
+                dst,
                 frees_mshr,
                 retires: fused.then_some(domain),
             },

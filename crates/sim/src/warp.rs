@@ -1,8 +1,8 @@
 //! Warp state and identifiers.
 
-use crate::Scoreboard;
+use crate::{DecodedProgram, Scoreboard};
 use std::fmt;
-use warped_isa::{Instruction, Kernel, KernelCursor, UnitType};
+use warped_isa::{Kernel, KernelCursor, UnitType};
 
 /// Globally unique warp identifier within one simulation (counts launched
 /// warps, across re-used slots).
@@ -43,8 +43,8 @@ pub enum WarpClass {
     Draining,
 }
 
-/// Issue-relevant decode of a warp's next instruction, cached alongside
-/// the I-buffer entry so indexing a ready warp does not re-derive unit
+/// Issue-relevant decode of an instruction, kept in the
+/// [`DecodedProgram`] so indexing a ready warp does not re-derive unit
 /// class and load-ness from the opcode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct NextMeta {
@@ -52,15 +52,6 @@ pub(crate) struct NextMeta {
     pub unit: UnitType,
     /// Whether it is a global load (needs an MSHR slot).
     pub is_global_load: bool,
-}
-
-impl NextMeta {
-    fn of(instr: &Instruction) -> Self {
-        NextMeta {
-            unit: instr.unit(),
-            is_global_load: instr.opcode().is_long_latency_load(),
-        }
-    }
 }
 
 /// One resident warp's microarchitectural state.
@@ -74,75 +65,82 @@ pub(crate) struct Warp {
     pub scoreboard: Scoreboard,
     /// In-flight instructions issued by this warp but not yet retired.
     pub in_flight: u32,
-    /// Cached decoded next instruction (the I-buffer entry). Always
-    /// refresh through [`Warp::refresh_next`] so `next_meta` stays in
-    /// step.
-    pub next_instr: Option<Instruction>,
-    /// Cached issue metadata of `next_instr`.
-    pub next_meta: Option<NextMeta>,
+    /// The I-buffer entry: the [`DecodedProgram`] index of the
+    /// instruction at the cursor (`None` once the program is issued).
+    /// Always refresh through [`Warp::refresh_next`].
+    pub next: Option<u32>,
     /// Current scheduler classification (refreshed each cycle).
     pub class: WarpClass,
     /// Whether `class` (or the finished test) may be stale: set at
     /// launch and whenever an issue, a completion event, or a barrier
     /// release mutates the inputs the classification is computed from.
-    /// The classification is a pure function of `next_instr` and the
+    /// The classification is a pure function of `next` and the
     /// scoreboard, so while `dirty` is false the cached `class` is
-    /// exactly what [`Warp::reclassify`] would recompute.
+    /// exactly what [`Warp::classify`] would recompute.
     pub dirty: bool,
 }
 
 impl Warp {
-    pub(crate) fn launch(id: WarpId, kernel: &Kernel) -> Self {
+    pub(crate) fn launch(id: WarpId, kernel: &Kernel, program: &DecodedProgram) -> Self {
         let cursor = kernel.cursor();
-        let next_instr = cursor.peek(kernel);
-        let next_meta = next_instr.as_ref().map(NextMeta::of);
+        let next = program.index_of(&cursor);
         Warp {
             id,
             cursor,
             scoreboard: Scoreboard::new(),
             in_flight: 0,
-            next_instr,
-            next_meta,
+            next,
             class: WarpClass::Ready,
             dirty: true,
         }
     }
 
-    /// Re-fills the I-buffer entry (and its cached decode) from the
-    /// cursor's current position.
-    pub(crate) fn refresh_next(&mut self, kernel: &Kernel) {
-        self.next_instr = self.cursor.peek(kernel);
-        self.next_meta = self.next_instr.as_ref().map(NextMeta::of);
+    /// Re-points the I-buffer entry at the cursor's current position.
+    pub(crate) fn refresh_next(&mut self, program: &DecodedProgram) {
+        self.next = program.index_of(&self.cursor);
+    }
+
+    /// The decoded issue metadata of the next instruction.
+    pub(crate) fn next_meta(&self, program: &DecodedProgram) -> Option<NextMeta> {
+        self.next.map(|i| program.get(i).meta)
     }
 
     /// Whether the warp has issued its entire program and drained all
     /// in-flight instructions.
     pub(crate) fn is_finished(&self) -> bool {
-        self.next_instr.is_none() && self.in_flight == 0
+        self.next.is_none() && self.in_flight == 0
+    }
+
+    /// The classification the current I-buffer entry and scoreboard
+    /// give: two masked ANDs of the entry's register footprint against
+    /// the pending registers.
+    pub(crate) fn classify(&self, program: &DecodedProgram) -> WarpClass {
+        let Some(i) = self.next else {
+            return WarpClass::Draining;
+        };
+        let d = program.get(i);
+        if d.is_barrier {
+            WarpClass::Barrier
+        } else if self.scoreboard.is_ready_for(&d.touched) {
+            WarpClass::Ready
+        } else if self.scoreboard.waits_on_long_for(&d.touched) {
+            WarpClass::Pending
+        } else {
+            WarpClass::ActiveWaiting
+        }
     }
 
     /// Reclassifies the warp for this cycle.
-    pub(crate) fn reclassify(&mut self) {
-        self.class = match &self.next_instr {
-            None => WarpClass::Draining,
-            Some(i) => {
-                if i.is_barrier() {
-                    WarpClass::Barrier
-                } else if self.scoreboard.is_ready(i) {
-                    WarpClass::Ready
-                } else if self.scoreboard.waits_on_long(i) {
-                    WarpClass::Pending
-                } else {
-                    WarpClass::ActiveWaiting
-                }
-            }
-        };
+    pub(crate) fn reclassify(&mut self, program: &DecodedProgram) {
+        self.class = self.classify(program);
     }
+}
 
-    /// Whether the warp currently sits in the *active* set (ready or
-    /// waiting on a short dependence).
-    pub(crate) fn in_active_set(&self) -> bool {
-        matches!(self.class, WarpClass::Ready | WarpClass::ActiveWaiting)
+impl WarpClass {
+    /// Whether the class is in the *active* set (ready or waiting on a
+    /// short dependence).
+    pub(crate) fn in_active_set(self) -> bool {
+        matches!(self, WarpClass::Ready | WarpClass::ActiveWaiting)
     }
 }
 
@@ -151,49 +149,54 @@ mod tests {
     use super::*;
     use warped_isa::KernelBuilder;
 
+    fn launch(k: &Kernel) -> (Warp, DecodedProgram) {
+        let program = DecodedProgram::new(k);
+        (Warp::launch(WarpId(0), k, &program), program)
+    }
+
     #[test]
     fn launch_decodes_first_instruction() {
         let k = KernelBuilder::new("k").iadd(1, 0, 0).build();
-        let w = Warp::launch(WarpId(0), &k);
-        assert!(w.next_instr.is_some());
+        let (w, _) = launch(&k);
+        assert_eq!(w.next, Some(0));
         assert!(!w.is_finished());
     }
 
     #[test]
     fn classification_follows_scoreboard() {
         let k = KernelBuilder::new("k").load_global(1).iadd(2, 1, 1).build();
-        let mut w = Warp::launch(WarpId(0), &k);
-        w.reclassify();
+        let (mut w, p) = launch(&k);
+        w.reclassify(&p);
         assert_eq!(w.class, WarpClass::Ready);
 
         // Issue the load: consumer now waits on a long producer.
-        let load = w.next_instr.unwrap();
+        let load = *p.get(w.next.unwrap()).instr();
         w.scoreboard.record_issue(&load);
         w.cursor.advance(&k);
-        w.refresh_next(&k);
+        w.refresh_next(&p);
         w.in_flight = 1;
-        w.reclassify();
+        w.reclassify(&p);
         assert_eq!(w.class, WarpClass::Pending);
-        assert!(!w.in_active_set());
+        assert!(!w.class.in_active_set());
 
         // Data returns.
         w.scoreboard.release(warped_isa::Reg::new(1));
         w.in_flight = 0;
-        w.reclassify();
+        w.reclassify(&p);
         assert_eq!(w.class, WarpClass::Ready);
-        assert!(w.in_active_set());
+        assert!(w.class.in_active_set());
     }
 
     #[test]
     fn finished_warp_is_draining_then_done() {
         let k = KernelBuilder::new("k").iadd(1, 0, 0).build();
-        let mut w = Warp::launch(WarpId(0), &k);
-        let i = w.next_instr.unwrap();
+        let (mut w, p) = launch(&k);
+        let i = *p.get(w.next.unwrap()).instr();
         w.scoreboard.record_issue(&i);
         w.cursor.advance(&k);
-        w.refresh_next(&k);
+        w.refresh_next(&p);
         w.in_flight = 1;
-        w.reclassify();
+        w.reclassify(&p);
         assert_eq!(w.class, WarpClass::Draining);
         assert!(!w.is_finished(), "still has an instruction in flight");
         w.in_flight = 0;
@@ -206,19 +209,19 @@ mod tests {
             .load_global(1)
             .iadd(2, 1, 1)
             .build();
-        let mut w = Warp::launch(WarpId(0), &k);
-        let m = w.next_meta.unwrap();
+        let (mut w, p) = launch(&k);
+        let m = w.next_meta(&p).unwrap();
         assert_eq!(m.unit, UnitType::Ldst);
         assert!(m.is_global_load);
         w.cursor.advance(&k);
-        w.refresh_next(&k);
-        let m = w.next_meta.unwrap();
+        w.refresh_next(&p);
+        let m = w.next_meta(&p).unwrap();
         assert_eq!(m.unit, UnitType::Int);
         assert!(!m.is_global_load);
         w.cursor.advance(&k);
-        w.refresh_next(&k);
-        assert!(w.next_meta.is_none());
-        assert!(w.next_instr.is_none());
+        w.refresh_next(&p);
+        assert!(w.next_meta(&p).is_none());
+        assert!(w.next.is_none());
     }
 
     #[test]

@@ -472,7 +472,21 @@ clusterlog="$outdir/cluster_loadgen.log"
 ./target/release/loadgen --cluster "$peers" --scale 1 \
     --check-grid results/bench_grid.json >"$clusterlog" 2>&1 &
 loadgen_pid=$!
-sleep 4
+# Kill the node once it has finished its first simulation, so the kill
+# lands mid-sweep however fast this machine simulates (a full-scale
+# cluster sweep can finish in under 4 s, so a fixed sleep can miss it).
+python3 - "${cports[0]}" <<'PY'
+import sys, time, urllib.request
+url = f"http://127.0.0.1:{sys.argv[1]}/metrics"
+for _ in range(3000):
+    page = urllib.request.urlopen(url, timeout=1).read().decode()
+    for line in page.splitlines():
+        name, _, value = line.partition(" ")
+        if name == "warped_serve_simulations_total" and float(value) >= 1:
+            sys.exit(0)
+    time.sleep(0.01)
+sys.exit("node never finished a simulation")
+PY
 kill -9 "${cluster_pids[0]}"
 echo "SIGKILLed node 127.0.0.1:${cports[0]} mid-sweep"
 if ! wait "$loadgen_pid"; then
