@@ -69,14 +69,19 @@ impl Kernel {
     ///
     /// # Panics
     ///
-    /// Panics if any loop has zero trips or an empty body, or if the kernel
-    /// contains no instructions at all.
+    /// Panics if any segment is empty, if any loop has zero trips, or if
+    /// the kernel contains no instructions at all.
     #[must_use]
     pub fn new(name: impl Into<String>, segments: Vec<Segment>) -> Self {
         for s in &segments {
-            if let Segment::Loop { body, trips } = s {
-                assert!(*trips >= 1, "loop trips must be >= 1");
-                assert!(!body.is_empty(), "loop body must not be empty");
+            match s {
+                Segment::Straight(v) => {
+                    assert!(!v.is_empty(), "straight segment must not be empty")
+                }
+                Segment::Loop { body, trips } => {
+                    assert!(*trips >= 1, "loop trips must be >= 1");
+                    assert!(!body.is_empty(), "loop body must not be empty");
+                }
             }
         }
         let static_len = segments.iter().map(Segment::static_len).sum();
@@ -445,6 +450,20 @@ mod tests {
                 body: vec![ialu(1, 0)],
                 trips: 0,
             }],
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "straight segment must not be empty")]
+    fn empty_straight_segment_is_rejected() {
+        // A cursor stops at an empty segment, so the kernel would yield
+        // fewer instructions than `dynamic_len()` promises.
+        let _ = Kernel::new(
+            "gap",
+            vec![
+                Segment::Straight(vec![]),
+                Segment::Straight(vec![ialu(1, 0)]),
+            ],
         );
     }
 

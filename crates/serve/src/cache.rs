@@ -32,24 +32,25 @@ pub enum Outcome {
     Miss,
 }
 
-struct Flight {
-    done: Mutex<Option<Result<Arc<Vec<u8>>, String>>>,
+struct Flight<E> {
+    done: Mutex<Option<Result<Arc<Vec<u8>>, E>>>,
     cv: Condvar,
 }
 
-enum Entry {
+enum Entry<E> {
     Ready { bytes: Arc<Vec<u8>>, last_used: u64 },
-    InFlight(Arc<Flight>),
+    InFlight(Arc<Flight<E>>),
 }
 
-struct Shard {
-    entries: HashMap<u64, Entry>,
+struct Shard<E> {
+    entries: HashMap<u64, Entry<E>>,
     bytes: usize,
 }
 
-/// The cache. Cheap to share behind an `Arc`.
-pub struct ResultCache {
-    shards: Vec<Mutex<Shard>>,
+/// The cache, whose computations fail with `E`. Cheap to share behind
+/// an `Arc`.
+pub struct ResultCache<E> {
+    shards: Vec<Mutex<Shard<E>>>,
     budget_per_shard: usize,
     tick: AtomicU64,
     hits: AtomicU64,
@@ -57,7 +58,7 @@ pub struct ResultCache {
     evictions: AtomicU64,
 }
 
-impl std::fmt::Debug for ResultCache {
+impl<E> std::fmt::Debug for ResultCache<E> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ResultCache")
             .field("shards", &self.shards.len())
@@ -68,7 +69,7 @@ impl std::fmt::Debug for ResultCache {
     }
 }
 
-impl ResultCache {
+impl<E> ResultCache<E> {
     /// A cache of `shards` shards splitting `byte_budget` evenly.
     ///
     /// # Panics
@@ -94,11 +95,11 @@ impl ResultCache {
         }
     }
 
-    fn shard(&self, key: u64) -> &Mutex<Shard> {
+    fn shard(&self, key: u64) -> &Mutex<Shard<E>> {
         &self.shards[(key as usize) % self.shards.len()]
     }
 
-    fn lock(&self, key: u64) -> std::sync::MutexGuard<'_, Shard> {
+    fn lock(&self, key: u64) -> std::sync::MutexGuard<'_, Shard<E>> {
         self.shard(key).lock().expect("cache shard poisoned")
     }
 
@@ -142,8 +143,11 @@ impl ResultCache {
     pub fn get_or_compute(
         &self,
         key: u64,
-        compute: impl FnOnce() -> Result<Vec<u8>, String>,
-    ) -> (Result<Arc<Vec<u8>>, String>, Outcome) {
+        compute: impl FnOnce() -> Result<Vec<u8>, E>,
+    ) -> (Result<Arc<Vec<u8>>, E>, Outcome)
+    where
+        E: Clone,
+    {
         let flight = {
             let mut shard = self.lock(key);
             match shard.entries.get_mut(&key) {
@@ -205,7 +209,7 @@ impl ResultCache {
 
     /// Evicts least-recently-used ready entries until the shard fits
     /// its budget (must hold the shard lock).
-    fn evict_locked(&self, shard: &mut Shard) {
+    fn evict_locked(&self, shard: &mut Shard<E>) {
         while shard.bytes > self.budget_per_shard {
             let victim = shard
                 .entries
@@ -234,7 +238,7 @@ mod tests {
 
     #[test]
     fn hit_after_miss_returns_the_same_bytes() {
-        let cache = ResultCache::new(4, 1 << 20);
+        let cache: ResultCache<String> = ResultCache::new(4, 1 << 20);
         let (a, o1) = cache.get_or_compute(7, || Ok(b"abc".to_vec()));
         let (b, o2) = cache.get_or_compute(7, || panic!("must not recompute"));
         assert_eq!(o1, Outcome::Miss);
@@ -245,7 +249,7 @@ mod tests {
 
     #[test]
     fn concurrent_identical_lookups_single_flight() {
-        let cache = Arc::new(ResultCache::new(4, 1 << 20));
+        let cache = Arc::new(ResultCache::<String>::new(4, 1 << 20));
         let computed = Arc::new(AtomicUsize::new(0));
         let barrier = Arc::new(Barrier::new(16));
         let handles: Vec<_> = (0..16)
@@ -280,7 +284,7 @@ mod tests {
 
     #[test]
     fn errors_are_not_cached_and_propagate_to_waiters() {
-        let cache = ResultCache::new(2, 1 << 20);
+        let cache: ResultCache<String> = ResultCache::new(2, 1 << 20);
         let (r, o) = cache.get_or_compute(9, || Err("boom".to_owned()));
         assert_eq!(o, Outcome::Miss);
         assert_eq!(r.unwrap_err(), "boom");
@@ -292,7 +296,7 @@ mod tests {
 
     #[test]
     fn lru_eviction_respects_the_byte_budget() {
-        let cache = ResultCache::new(1, 100);
+        let cache: ResultCache<String> = ResultCache::new(1, 100);
         for key in 0..10u64 {
             let (r, _) = cache.get_or_compute(key, || Ok(vec![0u8; 30]));
             r.unwrap();
@@ -308,7 +312,7 @@ mod tests {
 
     #[test]
     fn different_keys_do_not_coalesce() {
-        let cache = ResultCache::new(8, 1 << 20);
+        let cache: ResultCache<String> = ResultCache::new(8, 1 << 20);
         let (a, _) = cache.get_or_compute(1, || Ok(b"a".to_vec()));
         let (b, _) = cache.get_or_compute(2, || Ok(b"b".to_vec()));
         assert_ne!(*a.unwrap(), *b.unwrap());

@@ -235,7 +235,21 @@ pub fn read_request(r: &mut impl BufRead) -> Result<Option<Request>, HttpError> 
             "chunked request bodies are not supported".to_owned(),
         ));
     }
-    if let Some(len) = request.header("content-length") {
+    // RFC 9112 §6.3: a second, different length or a value that is not
+    // plain digits (`usize::from_str` takes a leading `+`) leaves the
+    // body's end unknown, so the framing is invalid.
+    let mut lengths = request
+        .headers
+        .iter()
+        .filter(|(name, _)| name == "content-length")
+        .map(|(_, value)| value.as_str());
+    if let Some(len) = lengths.next() {
+        if lengths.any(|other| other != len) {
+            return Err(bad("conflicting content-length"));
+        }
+        if !len.bytes().all(|b| b.is_ascii_digit()) {
+            return Err(bad("malformed content-length"));
+        }
         let len: usize = len.parse().map_err(|_| bad("malformed content-length"))?;
         if len > MAX_BODY {
             return Err(HttpError::Bad(413, format!("body over {MAX_BODY} bytes")));
@@ -548,6 +562,28 @@ mod tests {
             parse("POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"),
             Err(HttpError::Bad(501, _))
         ));
+    }
+
+    #[test]
+    fn conflicting_or_signed_content_length_is_a_400() {
+        for text in [
+            "POST /run HTTP/1.1\r\nContent-Length: 3\r\nContent-Length: 5\r\n\r\nabcde",
+            "POST /run HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 0\r\n\r\nabcde",
+            "POST /run HTTP/1.1\r\nContent-Length: +5\r\n\r\nabcde",
+            "POST /run HTTP/1.1\r\nContent-Length: -5\r\n\r\nabcde",
+            "POST /run HTTP/1.1\r\nContent-Length: 5, 5\r\n\r\nabcde",
+            "POST /run HTTP/1.1\r\nContent-Length:\r\n\r\n",
+        ] {
+            assert!(
+                matches!(parse(text), Err(HttpError::Bad(400, _))),
+                "{text:?} must be rejected"
+            );
+        }
+        // Repeating the same length is harmless and accepted.
+        let req = parse("POST /run HTTP/1.1\r\nContent-Length: 3\r\ncontent-length: 3\r\n\r\nabc")
+            .unwrap()
+            .unwrap();
+        assert_eq!(req.body, b"abc");
     }
 
     #[test]

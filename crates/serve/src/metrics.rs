@@ -139,9 +139,9 @@ impl Metrics {
     /// memory cache, (when persistence is on) the disk cache, and
     /// (when cluster mode is armed) the cluster layer.
     #[must_use]
-    pub fn render(
+    pub fn render<E>(
         &self,
-        cache: &crate::cache::ResultCache,
+        cache: &crate::cache::ResultCache<E>,
         disk: Option<&crate::disk::DiskCache>,
         cluster: Option<&crate::cluster::Cluster>,
     ) -> String {
@@ -375,7 +375,7 @@ mod tests {
     #[test]
     fn renders_every_counter_with_current_values() {
         let m = Metrics::default();
-        let cache = ResultCache::new(2, 1024);
+        let cache: ResultCache<String> = ResultCache::new(2, 1024);
         m.requests.fetch_add(3, Ordering::Relaxed);
         m.count_status(404);
         m.count_status(500);
@@ -463,7 +463,7 @@ mod tests {
     fn renders_live_cluster_counters_when_armed() {
         use crate::cluster::{Cluster, ClusterConfig};
         let m = Metrics::default();
-        let cache = ResultCache::new(2, 1024);
+        let cache: ResultCache<String> = ResultCache::new(2, 1024);
         let cluster = Cluster::new(&ClusterConfig {
             peers: vec!["127.0.0.1:19901".to_owned(), "127.0.0.1:19902".to_owned()],
             probe_interval: None,

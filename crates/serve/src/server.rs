@@ -37,8 +37,8 @@ use std::time::Duration;
 
 use warped_sim::parallel::worker_count;
 
-use crate::http::{read_request, write_response, write_response_with, HttpError};
-use crate::service::{Handled, Service, ServiceConfig};
+use crate::http::{read_request, HttpError};
+use crate::service::{Fail, Handled, Service, ServiceConfig};
 
 /// Transport configuration for [`spawn`].
 #[derive(Debug, Clone)]
@@ -334,15 +334,11 @@ fn shed(service: &Service, stream: TcpStream) {
         .metrics
         .shed_requests
         .fetch_add(1, Ordering::Relaxed);
-    service.metrics.count_status(503);
     let _ = stream.set_write_timeout(Some(Duration::from_millis(250)));
-    let mut writer = BufWriter::new(stream);
-    let _ = write_response_with(
-        &mut writer,
-        503,
-        "application/json",
+    let _ = Fail::new(503, "overloaded", "connection limit reached; retry shortly").answer(
+        &service.metrics,
+        &mut BufWriter::new(stream),
         &[("Retry-After", "1")],
-        b"{\"error\":{\"kind\":\"overloaded\",\"message\":\"connection limit reached; retry shortly\"}}\n",
         false,
     );
 }
@@ -408,19 +404,12 @@ fn serve_connection(ctx: &Ctx, stream: TcpStream) -> io::Result<()> {
             Err(HttpError::Bad(status, reason)) => {
                 // Framing is broken; answer and close (no way to know
                 // where the next request starts).
-                metrics.count_status(status);
-                let body = format!(
-                    "{{\"error\":{{\"kind\":\"bad_request\",\"message\":\"{}\"}}}}\n",
-                    crate::json::escape(&reason)
-                );
-                write_response(
+                return Fail::new(status, "bad_request", reason).answer(
+                    metrics,
                     &mut writer,
-                    status,
-                    "application/json",
-                    body.as_bytes(),
+                    &[],
                     false,
-                )?;
-                return writer.flush();
+                );
             }
             // The peer vanished mid-request; nothing to answer.
             Err(HttpError::Io(e)) => return Err(e),

@@ -34,7 +34,10 @@
 //! Fault isolation: `/run` simulations execute under `catch_unwind`
 //! with the configured wall-clock watchdog, so a panicking or hung
 //! cell answers `500` with a typed error body and the server lives on.
+//! Every error answer, here and in the transport, is a typed `Fail`
+//! rendered by one function.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::io::{self, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -57,7 +60,7 @@ use warped_workloads::Benchmark;
 use crate::cache::{Outcome, ResultCache};
 use crate::cluster::{ChaosMode, Cluster, ClusterConfig, FORWARDED_HEADER};
 use crate::disk::DiskCache;
-use crate::http::{write_response, ChunkedWriter, Request};
+use crate::http::{write_response, write_response_with, ChunkedWriter, Request};
 use crate::json::{self, JsonValue};
 use crate::metrics::Metrics;
 
@@ -117,7 +120,7 @@ pub enum Handled {
 pub struct Service {
     config: ServiceConfig,
     /// The content-addressed result cache.
-    pub cache: ResultCache,
+    pub(crate) cache: ResultCache<Fail>,
     /// The persistent warm cache, when [`ServiceConfig::disk_dir`] is
     /// set and the directory opened cleanly.
     pub disk: Option<DiskCache>,
@@ -135,14 +138,88 @@ pub struct Service {
     traces: BTreeMap<String, Arc<TraceWorkload>>,
 }
 
-/// A typed error body: `{"error":{"kind":...,"message":...}}`.
-fn error_body(kind: &str, message: &str) -> Vec<u8> {
-    format!(
-        "{{\"error\":{{\"kind\":\"{}\",\"message\":\"{}\"}}}}\n",
-        json::escape(kind),
-        json::escape(message)
-    )
-    .into_bytes()
+const JSON: &str = "application/json";
+
+/// A request that failed, answered in-band with a typed error body
+/// `{"error":{"kind":...,"message":...}}`. It is the one source of
+/// error bytes: endpoint failures, `/sweep` error lines, the shed `503`
+/// and the transport's framing errors all render through it.
+#[derive(Debug, Clone)]
+pub(crate) struct Fail {
+    status: u16,
+    kind: &'static str,
+    message: String,
+}
+
+impl Fail {
+    pub(crate) fn new(status: u16, kind: &'static str, message: impl Into<String>) -> Self {
+        Fail {
+            status,
+            kind,
+            message: message.into(),
+        }
+    }
+
+    fn bad_request(message: impl Into<String>) -> Self {
+        Fail::new(400, "bad_request", message)
+    }
+
+    /// The error object, `{"kind":...,"message":...}`.
+    fn object(&self) -> String {
+        format!(
+            "{{\"kind\":\"{}\",\"message\":\"{}\"}}",
+            json::escape(self.kind),
+            json::escape(&self.message)
+        )
+    }
+
+    /// Counts the status and writes the whole response, with any
+    /// `extra_headers` after the standard ones.
+    pub(crate) fn answer(
+        &self,
+        metrics: &Metrics,
+        out: &mut (impl Write + ?Sized),
+        extra_headers: &[(&str, &str)],
+        keep_alive: bool,
+    ) -> io::Result<()> {
+        metrics.count_status(self.status);
+        let body = format!("{{\"error\":{}}}\n", self.object());
+        write_response_with(
+            out,
+            self.status,
+            JSON,
+            extra_headers,
+            body.as_bytes(),
+            keep_alive,
+        )
+    }
+}
+
+/// What a successful endpoint answers.
+enum Reply {
+    /// A fixed-length `200` body of the given content type.
+    Body(&'static str, Cow<'static, [u8]>),
+    /// A cell report, shared with the cache.
+    Report(Arc<Vec<u8>>),
+    /// The endpoint streamed a chunked `200` itself; this is how the
+    /// stream ended.
+    Streamed(io::Result<()>),
+    /// `POST /shutdown` was accepted.
+    Shutdown,
+}
+
+/// A workload scale: a number in (0,1]. `None` is a value that is not
+/// a number at all.
+fn unit_scale(scale: Option<f64>) -> Result<f64, Fail> {
+    scale
+        .filter(|s| *s > 0.0 && *s <= 1.0)
+        .ok_or_else(|| Fail::bad_request("\"scale\" must be a number in (0,1]"))
+}
+
+/// Parses a UTF-8 JSON request body.
+fn parse_body(body: &[u8]) -> Result<JsonValue, Fail> {
+    let text = std::str::from_utf8(body).map_err(|_| Fail::bad_request("body is not UTF-8"))?;
+    json::parse(text).map_err(|e| Fail::bad_request(e.to_string()))
 }
 
 /// Case/space/dash/underscore-insensitive technique lookup, so
@@ -184,15 +261,13 @@ struct RunRequest {
 impl RunRequest {
     /// Parses and validates a request body. Unknown keys are rejected
     /// so a typo cannot silently fall back to a default.
-    fn parse(body: &[u8]) -> Result<RunRequest, String> {
-        let text = std::str::from_utf8(body).map_err(|_| "body is not UTF-8".to_owned())?;
-        let doc = json::parse(text).map_err(|e| e.to_string())?;
-        RunRequest::from_value(&doc)
+    fn parse(body: &[u8]) -> Result<RunRequest, Fail> {
+        RunRequest::from_value(&parse_body(body)?)
     }
 
     /// Validates one already-parsed cell object (`/sweep` reuses this
     /// per array element).
-    fn from_value(doc: &JsonValue) -> Result<RunRequest, String> {
+    fn from_value(doc: &JsonValue) -> Result<RunRequest, Fail> {
         for key in doc.keys() {
             if !matches!(
                 key,
@@ -205,43 +280,39 @@ impl RunRequest {
                     | "wakeup_delay"
                     | "hierarchy"
             ) {
-                return Err(format!("unknown field \"{key}\""));
+                return Err(Fail::bad_request(format!("unknown field \"{key}\"")));
             }
         }
-        let str_field = |name: &str| -> Result<&str, String> {
+        let str_field = |name: &str| -> Result<&str, Fail> {
             doc.get(name)
                 .and_then(JsonValue::as_str)
-                .ok_or_else(|| format!("missing or non-string field \"{name}\""))
+                .ok_or_else(|| Fail::bad_request(format!("missing or non-string field \"{name}\"")))
         };
         let workload = match (doc.get("benchmark"), doc.get("trace_ref")) {
             (Some(_), Some(_)) => {
-                return Err(
-                    "\"benchmark\" and \"trace_ref\" are mutually exclusive — name one workload"
-                        .to_owned(),
-                );
+                return Err(Fail::bad_request(
+                    "\"benchmark\" and \"trace_ref\" are mutually exclusive — name one workload",
+                ));
             }
             (None, None) => {
-                return Err("missing or non-string field \"benchmark\" or \"trace_ref\"".to_owned());
+                return Err(Fail::bad_request(
+                    "missing or non-string field \"benchmark\" or \"trace_ref\"",
+                ));
             }
             (Some(_), None) => {
                 let benchmark_name = str_field("benchmark")?;
-                WorkloadRef::Benchmark(
-                    Benchmark::from_name(benchmark_name)
-                        .ok_or_else(|| format!("unknown benchmark \"{benchmark_name}\""))?,
-                )
+                WorkloadRef::Benchmark(Benchmark::from_name(benchmark_name).ok_or_else(|| {
+                    Fail::bad_request(format!("unknown benchmark \"{benchmark_name}\""))
+                })?)
             }
             (None, Some(_)) => WorkloadRef::Trace(str_field("trace_ref")?.to_owned()),
         };
         let technique_name = str_field("technique")?;
         let technique = technique_from_name(technique_name)
-            .ok_or_else(|| format!("unknown technique \"{technique_name}\""))?;
-        let scale = match doc.get("scale") {
-            None => 1.0,
-            Some(v) => v
-                .as_f64()
-                .filter(|s| *s > 0.0 && *s <= 1.0)
-                .ok_or_else(|| "\"scale\" must be a number in (0,1]".to_owned())?,
-        };
+            .ok_or_else(|| Fail::bad_request(format!("unknown technique \"{technique_name}\"")))?;
+        let scale = doc
+            .get("scale")
+            .map_or(Ok(1.0), |v| unit_scale(v.as_f64()))?;
         let mut params = GatingParams::default();
         for (name, slot) in [
             ("idle_detect", &mut params.idle_detect as &mut u32),
@@ -252,14 +323,16 @@ impl RunRequest {
                 *slot = v
                     .as_u64()
                     .and_then(|n| u32::try_from(n).ok())
-                    .ok_or_else(|| format!("\"{name}\" must be a non-negative integer"))?;
+                    .ok_or_else(|| {
+                        Fail::bad_request(format!("\"{name}\" must be a non-negative integer"))
+                    })?;
             }
         }
         let hierarchy = match doc.get("hierarchy") {
             None => false,
             Some(v) => v
                 .as_bool()
-                .ok_or_else(|| "\"hierarchy\" must be true or false".to_owned())?,
+                .ok_or_else(|| Fail::bad_request("\"hierarchy\" must be true or false"))?,
         };
         // Deliberately NOT validated here: out-of-range gating
         // parameters (e.g. bet = 0) panic inside the experiment and
@@ -304,35 +377,41 @@ impl RunRequest {
 /// Parses a `/sweep` body into validated cells. Accepts a bare array
 /// or `{"cells":[...]}`; every element must be a valid `/run` body,
 /// and the batch must be non-empty and under the configured cap.
-fn parse_sweep_cells(body: &[u8], max_cells: usize) -> Result<Vec<RunRequest>, String> {
-    let text = std::str::from_utf8(body).map_err(|_| "body is not UTF-8".to_owned())?;
-    let doc = json::parse(text).map_err(|e| e.to_string())?;
+fn parse_sweep_cells(body: &[u8], max_cells: usize) -> Result<Vec<RunRequest>, Fail> {
+    let doc = parse_body(body)?;
     let items = match &doc {
         JsonValue::Arr(items) => items,
         JsonValue::Obj(_) => {
             if let Some(key) = doc.keys().iter().find(|k| **k != "cells") {
-                return Err(format!("unknown field \"{key}\""));
+                return Err(Fail::bad_request(format!("unknown field \"{key}\"")));
             }
             match doc.get("cells") {
                 Some(JsonValue::Arr(items)) => items,
-                _ => return Err("missing or non-array field \"cells\"".to_owned()),
+                _ => return Err(Fail::bad_request("missing or non-array field \"cells\"")),
             }
         }
-        _ => return Err("expected an array of cells or {\"cells\":[...]}".to_owned()),
+        _ => {
+            return Err(Fail::bad_request(
+                "expected an array of cells or {\"cells\":[...]}",
+            ))
+        }
     };
     if items.is_empty() {
-        return Err("sweep needs at least one cell".to_owned());
+        return Err(Fail::bad_request("sweep needs at least one cell"));
     }
     if items.len() > max_cells {
-        return Err(format!(
+        return Err(Fail::bad_request(format!(
             "too many cells ({} > the {max_cells} cap)",
             items.len()
-        ));
+        )));
     }
     items
         .iter()
         .enumerate()
-        .map(|(i, v)| RunRequest::from_value(v).map_err(|e| format!("cells[{i}]: {e}")))
+        .map(|(i, v)| {
+            RunRequest::from_value(v)
+                .map_err(|e| Fail::bad_request(format!("cells[{i}]: {}", e.message)))
+        })
         .collect()
 }
 
@@ -540,130 +619,88 @@ impl Service {
         keep_alive: bool,
     ) -> io::Result<Handled> {
         self.metrics.requests.fetch_add(1, Ordering::Relaxed);
-        // The chaos gate: every endpoint except /chaos itself honors
-        // the injected fault, so the harness can always clear it.
-        if req.path != "/chaos" {
-            match self.chaos_mode() {
-                ChaosMode::None => {}
-                ChaosMode::Error => {
-                    self.respond(
-                        out,
-                        500,
-                        "application/json",
-                        &error_body("chaos", "injected fault"),
-                        keep_alive,
-                    )?;
-                    return Ok(Handled::Normal);
-                }
-                ChaosMode::Abort => {
-                    // An in-process `kill -9`: the connection drops
-                    // with no response bytes at all.
-                    return Err(io::Error::new(
-                        io::ErrorKind::ConnectionAborted,
-                        "chaos: aborted",
-                    ));
-                }
-                ChaosMode::Stall => {
-                    // Freeze (bounded) until the harness clears the
-                    // mode, then serve normally — a stalled node that
-                    // recovers answers its backlog.
-                    let deadline = Instant::now() + Duration::from_secs(30);
-                    while self.chaos_mode() == ChaosMode::Stall && Instant::now() < deadline {
-                        std::thread::sleep(Duration::from_millis(5));
-                    }
+        let reply = match self
+            .injected_fault(req)?
+            .and_then(|()| self.route(req, out, keep_alive))
+        {
+            Ok(reply) => reply,
+            Err(fail) => {
+                fail.answer(&self.metrics, out, &[], keep_alive)?;
+                return Ok(Handled::Normal);
+            }
+        };
+        match reply {
+            Reply::Body(content_type, body) => {
+                write_response(out, 200, content_type, &body, keep_alive)?;
+            }
+            Reply::Report(bytes) => write_response(out, 200, JSON, &bytes, keep_alive)?,
+            Reply::Streamed(result) => result?,
+            Reply::Shutdown => {
+                // The server is about to stop; never promise reuse.
+                write_response(out, 200, JSON, b"{\"shutting_down\":true}\n", false)?;
+                return Ok(Handled::ShutdownRequested);
+            }
+        }
+        Ok(Handled::Normal)
+    }
+
+    /// The chaos gate: every endpoint except `/chaos` itself honors
+    /// the injected fault, so the harness can always clear it.
+    fn injected_fault(&self, req: &Request) -> io::Result<Result<(), Fail>> {
+        if req.path == "/chaos" {
+            return Ok(Ok(()));
+        }
+        match self.chaos_mode() {
+            ChaosMode::None => {}
+            ChaosMode::Error => return Ok(Err(Fail::new(500, "chaos", "injected fault"))),
+            ChaosMode::Abort => {
+                // An in-process `kill -9`: the connection drops with no
+                // response bytes at all.
+                return Err(io::Error::new(
+                    io::ErrorKind::ConnectionAborted,
+                    "chaos: aborted",
+                ));
+            }
+            ChaosMode::Stall => {
+                // Freeze (bounded) until the harness clears the mode,
+                // then serve normally — a stalled node that recovers
+                // answers its backlog.
+                let deadline = Instant::now() + Duration::from_secs(30);
+                while self.chaos_mode() == ChaosMode::Stall && Instant::now() < deadline {
+                    std::thread::sleep(Duration::from_millis(5));
                 }
             }
         }
-        let handled = match (req.method.as_str(), req.path.as_str()) {
-            ("GET", "/healthz") => {
-                self.respond(out, 200, "text/plain; charset=utf-8", b"ok\n", keep_alive)?;
-                Handled::Normal
-            }
+        Ok(Ok(()))
+    }
+
+    fn route(&self, req: &Request, out: &mut dyn Write, keep_alive: bool) -> Result<Reply, Fail> {
+        const TEXT: &str = "text/plain; charset=utf-8";
+        match (req.method.as_str(), req.path.as_str()) {
+            ("GET", "/healthz") => Ok(Reply::Body(TEXT, Cow::Borrowed(b"ok\n"))),
             ("GET", "/metrics") => {
                 let page = self
                     .metrics
                     .render(&self.cache, self.disk.as_ref(), self.cluster.get());
-                self.respond(
-                    out,
-                    200,
-                    "text/plain; charset=utf-8",
-                    page.as_bytes(),
-                    keep_alive,
-                )?;
-                Handled::Normal
+                Ok(Reply::Body(TEXT, Cow::Owned(page.into_bytes())))
             }
-            ("POST", "/run") => {
-                self.run(req, out, keep_alive)?;
-                Handled::Normal
-            }
-            ("POST", "/sweep") => {
-                self.sweep(req, out, keep_alive)?;
-                Handled::Normal
-            }
-            ("POST", "/chaos") => {
-                self.chaos(req, out, keep_alive)?;
-                Handled::Normal
-            }
-            ("GET", "/grid") => {
-                self.grid(req, out, keep_alive)?;
-                Handled::Normal
-            }
-            ("GET", "/trace") => {
-                self.trace(req, out, keep_alive)?;
-                Handled::Normal
-            }
-            ("POST", "/shutdown") => {
-                // The server is about to stop; never promise reuse.
-                self.respond(
-                    out,
-                    200,
-                    "application/json",
-                    b"{\"shutting_down\":true}\n",
-                    false,
-                )?;
-                Handled::ShutdownRequested
-            }
+            ("POST", "/run") => self.run(req),
+            ("POST", "/sweep") => self.sweep(req, out, keep_alive),
+            ("POST", "/chaos") => self.chaos(req),
+            ("GET", "/grid") => self.grid(req),
+            ("GET", "/trace") => self.trace(req, out, keep_alive),
+            ("POST", "/shutdown") => Ok(Reply::Shutdown),
             (
                 _,
                 "/healthz" | "/metrics" | "/run" | "/sweep" | "/chaos" | "/grid" | "/trace"
                 | "/shutdown",
-            ) => {
-                self.respond(
-                    out,
-                    405,
-                    "application/json",
-                    &error_body(
-                        "method_not_allowed",
-                        &format!("{} not allowed here", req.method),
-                    ),
-                    keep_alive,
-                )?;
-                Handled::Normal
-            }
-            (_, path) => {
-                self.respond(
-                    out,
-                    404,
-                    "application/json",
-                    &error_body("not_found", &format!("no route for {path}")),
-                    keep_alive,
-                )?;
-                Handled::Normal
-            }
-        };
-        Ok(handled)
-    }
-
-    fn respond(
-        &self,
-        out: &mut dyn Write,
-        status: u16,
-        content_type: &str,
-        body: &[u8],
-        keep_alive: bool,
-    ) -> io::Result<()> {
-        self.metrics.count_status(status);
-        write_response(out, status, content_type, body, keep_alive)
+            ) => Err(Fail::new(
+                405,
+                "method_not_allowed",
+                format!("{} not allowed here", req.method),
+            )),
+            (_, path) => Err(Fail::new(404, "not_found", format!("no route for {path}"))),
+        }
     }
 
     /// Computes (or fetches) one cell's canonical report bytes,
@@ -672,14 +709,14 @@ impl Service {
     /// persistence is on; forwarded bytes stay memory-only (the owner
     /// holds the disk shard). `local_only` skips the forward hop —
     /// set for requests that already arrived forwarded, so a cell can
-    /// never bounce between peers. Errors carry a `kind\u{1f}message`
-    /// tag; the returned flag is true when this call ran a fresh
-    /// simulation (false: a cache layer or a peer answered).
+    /// never bounce between peers. The returned flag is true when this
+    /// call ran a fresh simulation (false: a cache layer or a peer
+    /// answered).
     fn run_cell(
         &self,
         run_req: &RunRequest,
         local_only: bool,
-    ) -> (Result<Arc<Vec<u8>>, String>, bool) {
+    ) -> (Result<Arc<Vec<u8>>, Fail>, bool) {
         // Trace refs resolve against the corpus loaded at startup.
         // `/run` and `/sweep` validate refs before any work, so this
         // branch only fires on an internal caller bug — it still
@@ -689,12 +726,8 @@ impl Service {
             WorkloadRef::Trace(name) => match self.traces.get(name) {
                 Some(t) => (None, Some(Arc::clone(t))),
                 None => {
-                    return (
-                        Err(format!(
-                            "unknown_trace\u{1f}no trace named \"{name}\" is loaded"
-                        )),
-                        false,
-                    );
+                    let message = format!("no trace named \"{name}\" is loaded");
+                    return (Err(Fail::new(500, "unknown_trace", message)), false);
                 }
             },
         };
@@ -720,13 +753,7 @@ impl Service {
         }));
         let (experiment, fingerprint) = match built {
             Ok(pair) => pair,
-            Err(payload) => {
-                self.metrics.panicked_cells.fetch_add(1, Ordering::Relaxed);
-                return (
-                    Err(format!("panic\u{1f}{}", panic_message(payload.as_ref()))),
-                    false,
-                );
-            }
+            Err(payload) => return (Err(self.cell_panicked(payload.as_ref())), false),
         };
 
         let mut simulated = false;
@@ -759,15 +786,16 @@ impl Service {
                 (None, None) => unreachable!("workload resolved above"),
             }));
             match outcome {
-                Err(payload) => {
-                    self.metrics.panicked_cells.fetch_add(1, Ordering::Relaxed);
-                    Err(format!("panic\u{1f}{}", panic_message(payload.as_ref())))
-                }
+                Err(payload) => Err(self.cell_panicked(payload.as_ref())),
                 Ok(run) if run.timed_out => {
                     self.metrics.timed_out_cells.fetch_add(1, Ordering::Relaxed);
-                    Err(format!(
-                        "timeout\u{1f}cell exceeded the wall-clock budget ({:?})",
-                        self.config.job_timeout
+                    Err(Fail::new(
+                        500,
+                        "timeout",
+                        format!(
+                            "cell exceeded the wall-clock budget ({:?})",
+                            self.config.job_timeout
+                        ),
                     ))
                 }
                 Ok(run) => {
@@ -796,11 +824,17 @@ impl Service {
         (result, simulated)
     }
 
+    /// Counts a simulation that panicked and names its failure.
+    fn cell_panicked(&self, payload: &(dyn std::any::Any + Send)) -> Fail {
+        self.metrics.panicked_cells.fetch_add(1, Ordering::Relaxed);
+        Fail::new(500, "panic", panic_message(payload))
+    }
+
     /// Rejects any cell naming a trace this server has not loaded.
     /// Runs during request validation, before any simulation starts,
     /// so the client gets a 400 naming the cell — never a mid-batch
     /// fault.
-    fn check_trace_refs(&self, cells: &[RunRequest]) -> Result<(), String> {
+    fn check_trace_refs(&self, cells: &[RunRequest]) -> Result<(), Fail> {
         for (i, cell) in cells.iter().enumerate() {
             if let WorkloadRef::Trace(name) = &cell.workload {
                 if !self.traces.contains_key(name) {
@@ -816,11 +850,11 @@ impl Service {
                                 .join(", ")
                         )
                     };
-                    return Err(if cells.len() == 1 {
+                    return Err(Fail::bad_request(if cells.len() == 1 {
                         format!("unknown trace_ref \"{name}\"{hint}")
                     } else {
                         format!("cells[{i}]: unknown trace_ref \"{name}\"{hint}")
-                    });
+                    }));
                 }
             }
         }
@@ -829,43 +863,11 @@ impl Service {
 
     /// `POST /run`: validate, fingerprint, serve through the
     /// single-flight cache, fault-isolate the simulation.
-    fn run(&self, req: &Request, out: &mut dyn Write, keep_alive: bool) -> io::Result<()> {
-        let run_req = match RunRequest::parse(&req.body) {
-            Ok(r) => r,
-            Err(message) => {
-                return self.respond(
-                    out,
-                    400,
-                    "application/json",
-                    &error_body("bad_request", &message),
-                    keep_alive,
-                );
-            }
-        };
-        if let Err(message) = self.check_trace_refs(std::slice::from_ref(&run_req)) {
-            return self.respond(
-                out,
-                400,
-                "application/json",
-                &error_body("bad_request", &message),
-                keep_alive,
-            );
-        }
+    fn run(&self, req: &Request) -> Result<Reply, Fail> {
+        let run_req = RunRequest::parse(&req.body)?;
+        self.check_trace_refs(std::slice::from_ref(&run_req))?;
         let local_only = req.header(FORWARDED_HEADER).is_some();
-        let (result, _) = self.run_cell(&run_req, local_only);
-        match result {
-            Ok(bytes) => self.respond(out, 200, "application/json", &bytes, keep_alive),
-            Err(tagged) => {
-                let (kind, message) = tagged.split_once('\u{1f}').unwrap_or(("panic", &tagged));
-                self.respond(
-                    out,
-                    500,
-                    "application/json",
-                    &error_body(kind, message),
-                    keep_alive,
-                )
-            }
-        }
+        self.run_cell(&run_req, local_only).0.map(Reply::Report)
     }
 
     /// `POST /sweep`: a batch of cells (`[{...},...]` or
@@ -878,35 +880,33 @@ impl Service {
     /// Validation is all-or-nothing *before* any work starts: one bad
     /// cell fails the whole batch with a `400` naming it, so a client
     /// can't burn a long sweep only to find a typo'd tail.
-    fn sweep(&self, req: &Request, out: &mut dyn Write, keep_alive: bool) -> io::Result<()> {
-        let cells = match parse_sweep_cells(&req.body, self.config.max_sweep_cells)
-            .and_then(|cells| self.check_trace_refs(&cells).map(|()| cells))
-        {
-            Ok(cells) => cells,
-            Err(message) => {
-                return self.respond(
-                    out,
-                    400,
-                    "application/json",
-                    &error_body("bad_request", &message),
-                    keep_alive,
-                );
-            }
-        };
+    fn sweep(&self, req: &Request, out: &mut dyn Write, keep_alive: bool) -> Result<Reply, Fail> {
+        let cells = parse_sweep_cells(&req.body, self.config.max_sweep_cells)?;
+        self.check_trace_refs(&cells)?;
         self.metrics
             .sweep_cells
             .fetch_add(cells.len() as u64, Ordering::Relaxed);
-
-        self.metrics.count_status(200);
         let local_only = req.header(FORWARDED_HEADER).is_some();
+        Ok(Reply::Streamed(
+            self.stream_sweep(&cells, local_only, out, keep_alive),
+        ))
+    }
+
+    fn stream_sweep(
+        &self,
+        cells: &[RunRequest],
+        local_only: bool,
+        out: &mut dyn Write,
+        keep_alive: bool,
+    ) -> io::Result<()> {
         let mut cw = ChunkedWriter::begin(out, 200, "application/jsonl", keep_alive)?;
         let next = AtomicUsize::new(0);
         let threads = cells.len().min(worker_count()).max(1);
-        let (tx, rx) = mpsc::channel::<(usize, Result<Arc<Vec<u8>>, String>, bool)>();
+        let (tx, rx) = mpsc::channel::<(usize, Result<Arc<Vec<u8>>, Fail>, bool)>();
         std::thread::scope(|scope| -> io::Result<()> {
             for _ in 0..threads {
                 let tx = tx.clone();
-                let (next, cells) = (&next, &cells);
+                let next = &next;
                 scope.spawn(move || loop {
                     let i = next.fetch_add(1, Ordering::Relaxed);
                     let Some(cell) = cells.get(i) else { break };
@@ -939,15 +939,7 @@ impl Service {
                         let report = String::from_utf8_lossy(&bytes);
                         format!("{{\"index\":{i},\"report\":{}}}\n", report.trim_end())
                     }
-                    Err(tagged) => {
-                        let (kind, message) =
-                            tagged.split_once('\u{1f}').unwrap_or(("panic", &tagged));
-                        format!(
-                            "{{\"index\":{i},\"error\":{{\"kind\":\"{}\",\"message\":\"{}\"}}}}\n",
-                            json::escape(kind),
-                            json::escape(message)
-                        )
-                    }
+                    Err(fail) => format!("{{\"index\":{i},\"error\":{}}}\n", fail.object()),
                 };
                 // Flush per line so the client sees each result the
                 // moment it lands, not when the OS buffer fills.
@@ -962,7 +954,7 @@ impl Service {
     /// `POST /chaos`: the fault-injection control, `{"mode":"none" |
     /// "error" | "stall" | "abort"}`. The endpoint itself is exempt
     /// from the injected fault, so a harness can always clear it.
-    fn chaos(&self, req: &Request, out: &mut dyn Write, keep_alive: bool) -> io::Result<()> {
+    fn chaos(&self, req: &Request) -> Result<Reply, Fail> {
         let mode = std::str::from_utf8(&req.body)
             .ok()
             .and_then(|text| json::parse(text).ok())
@@ -973,45 +965,21 @@ impl Service {
                 doc.get("mode")
                     .and_then(JsonValue::as_str)
                     .and_then(ChaosMode::from_name)
-            });
-        let Some(mode) = mode else {
-            return self.respond(
-                out,
-                400,
-                "application/json",
-                &error_body(
-                    "bad_request",
-                    "body must be {\"mode\":\"none\"|\"error\"|\"stall\"|\"abort\"}",
-                ),
-                keep_alive,
-            );
-        };
+            })
+            .ok_or_else(|| {
+                Fail::bad_request("body must be {\"mode\":\"none\"|\"error\"|\"stall\"|\"abort\"}")
+            })?;
         self.set_chaos(mode);
-        self.respond(
-            out,
-            200,
-            "application/json",
-            format!("{{\"chaos\":\"{}\"}}\n", mode.name()).as_bytes(),
-            keep_alive,
-        )
+        let body = format!("{{\"chaos\":\"{}\"}}\n", mode.name());
+        Ok(Reply::Body(JSON, Cow::Owned(body.into_bytes())))
     }
 
     /// `GET /grid`: the committed sweep table, optionally regenerated.
-    fn grid(&self, req: &Request, out: &mut dyn Write, keep_alive: bool) -> io::Result<()> {
+    fn grid(&self, req: &Request) -> Result<Reply, Fail> {
         if req.query_param("regenerate") == Some("1") {
-            let scale = match req.query_param("scale").map(str::parse::<f64>) {
-                None => 1.0,
-                Some(Ok(s)) if s > 0.0 && s <= 1.0 => s,
-                _ => {
-                    return self.respond(
-                        out,
-                        400,
-                        "application/json",
-                        &error_body("bad_request", "\"scale\" must be a number in (0,1]"),
-                        keep_alive,
-                    );
-                }
-            };
+            let scale = req
+                .query_param("scale")
+                .map_or(Ok(1.0), |s| unit_scale(s.parse().ok()))?;
             let out_dir = self
                 .config
                 .grid_path
@@ -1021,111 +989,55 @@ impl Service {
             let mut sweep_config = SweepConfig::new(out_dir, worker_count());
             sweep_config.scale = scale;
             sweep_config.quiet = true;
-            match sweep::run(&sweep_config) {
-                Ok(summary) if summary.ok() => {}
-                Ok(summary) => {
-                    return self.respond(
-                        out,
-                        500,
-                        "application/json",
-                        &error_body(
-                            "sweep_failed",
-                            &format!("{} grid cells failed", summary.failures.len()),
-                        ),
-                        keep_alive,
-                    );
-                }
-                Err(e) => {
-                    return self.respond(
-                        out,
-                        500,
-                        "application/json",
-                        &error_body("io", &e.to_string()),
-                        keep_alive,
-                    );
-                }
+            let summary =
+                sweep::run(&sweep_config).map_err(|e| Fail::new(500, "io", e.to_string()))?;
+            if !summary.ok() {
+                let message = format!("{} grid cells failed", summary.failures.len());
+                return Err(Fail::new(500, "sweep_failed", message));
             }
         }
-        match std::fs::read(&self.config.grid_path) {
-            Ok(bytes) => {
-                // Validate before serving: a torn or foreign file must
-                // not masquerade as a grid.
-                if let Err(e) = GridTable::parse(&String::from_utf8_lossy(&bytes)) {
-                    return self.respond(
-                        out,
-                        500,
-                        "application/json",
-                        &error_body("bad_grid", &e.to_string()),
-                        keep_alive,
-                    );
-                }
-                self.respond(out, 200, "application/json", &bytes, keep_alive)
-            }
-            Err(e) if e.kind() == io::ErrorKind::NotFound => self.respond(
-                out,
-                404,
-                "application/json",
-                &error_body(
+        let bytes = std::fs::read(&self.config.grid_path).map_err(|e| {
+            if e.kind() == io::ErrorKind::NotFound {
+                Fail::new(
+                    404,
                     "no_grid",
-                    &format!(
+                    format!(
                         "{} not found; POST /grid?regenerate=1 or run the sweep binary",
                         self.config.grid_path.display()
                     ),
-                ),
-                keep_alive,
-            ),
-            Err(e) => self.respond(
-                out,
-                500,
-                "application/json",
-                &error_body("io", &e.to_string()),
-                keep_alive,
-            ),
-        }
+                )
+            } else {
+                Fail::new(500, "io", e.to_string())
+            }
+        })?;
+        // Validate before serving: a torn or foreign file must not
+        // masquerade as a grid.
+        GridTable::parse(&String::from_utf8_lossy(&bytes))
+            .map_err(|e| Fail::new(500, "bad_grid", e.to_string()))?;
+        Ok(Reply::Body(JSON, Cow::Owned(bytes)))
     }
 
     /// `GET /trace?cell=<i>[&format=perfetto|rollup][&scale=<f>]`:
     /// replay one grid cell with telemetry and stream the export with
     /// chunked transfer encoding.
-    fn trace(&self, req: &Request, out: &mut dyn Write, keep_alive: bool) -> io::Result<()> {
+    fn trace(&self, req: &Request, out: &mut dyn Write, keep_alive: bool) -> Result<Reply, Fail> {
         let jobs = runner::full_grid();
-        let cell = match req.query_param("cell").map(str::parse::<usize>) {
-            Some(Ok(i)) if i < jobs.len() => i,
-            _ => {
-                return self.respond(
-                    out,
-                    400,
-                    "application/json",
-                    &error_body(
-                        "bad_request",
-                        &format!("\"cell\" must be a grid index below {}", jobs.len()),
-                    ),
-                    keep_alive,
-                );
-            }
-        };
-        let scale = match req.query_param("scale").map(str::parse::<f64>) {
-            None => self.config.trace_scale,
-            Some(Ok(s)) if s > 0.0 && s <= 1.0 => s,
-            _ => {
-                return self.respond(
-                    out,
-                    400,
-                    "application/json",
-                    &error_body("bad_request", "\"scale\" must be a number in (0,1]"),
-                    keep_alive,
-                );
-            }
-        };
+        let cell = req
+            .query_param("cell")
+            .and_then(|c| c.parse::<usize>().ok())
+            .filter(|i| *i < jobs.len())
+            .ok_or_else(|| {
+                Fail::bad_request(format!(
+                    "\"cell\" must be a grid index below {}",
+                    jobs.len()
+                ))
+            })?;
+        let scale = req
+            .query_param("scale")
+            .map_or(Ok(self.config.trace_scale), |s| unit_scale(s.parse().ok()))?;
         let format = req.query_param("format").unwrap_or("perfetto");
         if format != "perfetto" && format != "rollup" {
-            return self.respond(
-                out,
-                400,
-                "application/json",
-                &error_body("bad_request", "\"format\" must be perfetto or rollup"),
-                keep_alive,
-            );
+            return Err(Fail::bad_request("\"format\" must be perfetto or rollup"));
         }
 
         let (spec, technique) = &jobs[cell];
@@ -1135,26 +1047,14 @@ impl Service {
             epoch_len: 1000,
         });
         let _guard = self.metrics.job_started();
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
+        let run = catch_unwind(AssertUnwindSafe(|| {
             let experiment = Experiment::paper_defaults()
                 .with_scale(scale)
                 .with_job_timeout(self.config.job_timeout)
                 .with_telemetry(Some(recorder.clone()));
             experiment.run(spec, *technique)
-        }));
-        let run = match outcome {
-            Ok(run) => run,
-            Err(payload) => {
-                self.metrics.panicked_cells.fetch_add(1, Ordering::Relaxed);
-                return self.respond(
-                    out,
-                    500,
-                    "application/json",
-                    &error_body("panic", &panic_message(payload.as_ref())),
-                    keep_alive,
-                );
-            }
-        };
+        }))
+        .map_err(|payload| self.cell_panicked(payload.as_ref()))?;
 
         self.metrics.record_core_counters(&run.stats);
 
@@ -1167,27 +1067,25 @@ impl Service {
         let mut log = recorder.take();
         log.events = events;
 
-        self.metrics.count_status(200);
-        match format {
-            "perfetto" => {
+        let stream = || -> io::Result<()> {
+            if format == "perfetto" {
                 let title = format!("{label} @ scale {scale}");
                 let trace = perfetto::render(&log, run.stats.layout, &title);
-                let mut cw = ChunkedWriter::begin(out, 200, "application/json", keep_alive)?;
+                let mut cw = ChunkedWriter::begin(out, 200, JSON, keep_alive)?;
                 for piece in trace.as_bytes().chunks(64 * 1024) {
                     cw.chunk(piece)?;
                 }
                 cw.finish()
-            }
-            _ => {
-                let rows = rollup::rows(&log);
+            } else {
                 let mut cw = ChunkedWriter::begin(out, 200, "application/jsonl", keep_alive)?;
-                for row in &rows {
+                for row in &rollup::rows(&log) {
                     cw.chunk(row.to_json().as_bytes())?;
                     cw.chunk(b"\n")?;
                 }
                 cw.finish()
             }
-        }
+        };
+        Ok(Reply::Streamed(stream()))
     }
 }
 

@@ -98,6 +98,33 @@ fn oversized_lines_headers_and_bodies_are_rejected() {
     }
 }
 
+#[test]
+fn conflicting_or_signed_content_lengths_are_400s() {
+    // Two different lengths, or one with a sign, never frame a body:
+    // whatever follows must not be read as the next request.
+    for seed in 0..500u64 {
+        let mut rng = SplitMix64::new(seed ^ 0x636c_656e);
+        let first = rng.below(64);
+        let second = (first + 1 + rng.below(64)) % 128;
+        let (a, b) = if rng.chance(0.5) {
+            (first.to_string(), second.to_string())
+        } else {
+            let sign = if rng.chance(0.5) { '+' } else { '-' };
+            (format!("{sign}{first}"), format!("{sign}{first}"))
+        };
+        let wire = format!(
+            "POST /run HTTP/1.1\r\nContent-Length: {a}\r\nHost: x\r\ncontent-length: {b}\r\n\r\n\
+             {}GET /healthz HTTP/1.1\r\n\r\n",
+            "x".repeat(128)
+        );
+        let mut reader = wire.as_bytes();
+        match read_request(&mut reader) {
+            Err(HttpError::Bad(400, _)) => {}
+            other => panic!("seed {seed}: {a} / {b} must be a 400: {other:?}"),
+        }
+    }
+}
+
 /// A reader that hands out at most `step` bytes per `read`, modelling
 /// a trickling socket that splits every token across reads.
 struct Dribble<'a> {

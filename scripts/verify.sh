@@ -27,6 +27,9 @@ fi
 step "cargo build --release"
 cargo build --release --workspace
 
+step "perfbench build (compiles against the public serve/sim API)"
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
 step "cargo test"
 cargo test -q --workspace
 

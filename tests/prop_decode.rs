@@ -235,19 +235,6 @@ fn decoded_program_matches_the_cursor_on_every_trace() {
     }
 }
 
-#[test]
-fn an_empty_straight_segment_decodes_like_the_cursor() {
-    // The cursor stops at an empty straight segment (`peek` is `None`
-    // there), and the table must agree rather than skip ahead.
-    use warped_gates_repro::isa::Segment;
-    let add = Instruction::new(Opcode::IAlu, Some(Reg::new(1)), &[]);
-    let kernel = Kernel::new(
-        "gap",
-        vec![Segment::Straight(vec![]), Segment::Straight(vec![add])],
-    );
-    assert_eq!(check_program(&kernel), 0);
-}
-
 /// The L2 MSHR file as it was before the fill queue: a drain scans every
 /// line × sector, kept verbatim as the oracle.
 struct ScanL2 {
