@@ -37,8 +37,12 @@
 //! `--cluster <a,b,c>` switches to cluster mode: the mix is swept
 //! through the resilient [`ClusterClient`] (consistent-hash routing,
 //! replica retries, straggler hedging) against the named peers
-//! instead of the closed-loop A/B, and the cluster counters are
-//! printed at the end. `--chaos <seed>` additionally injects one
+//! instead of the closed-loop A/B. The client routes every cell
+//! itself and marks each request so the node it lands on serves it,
+//! so the peers never forward. The last line prints the client's own
+//! counters: `retries` and `hedged` (re-dispatches, kept by the
+//! client) and `breaker_open` and `peer_unhealthy` (its view of peer
+//! health). `--chaos <seed>` additionally injects one
 //! seeded fault (kill/stall/error on a deterministic victim and
 //! schedule, via `POST /chaos`) while the sweep runs — equal seeds
 //! reproduce the exact same fault.
@@ -381,7 +385,6 @@ fn run_cluster(args: &Args, peers: &[String], mix: &[Cell]) -> Result<(), String
         peers: peers.to_vec(),
         self_addr: None,
         probe_interval: Some(Duration::from_millis(250)),
-        ..ClusterConfig::default()
     })?;
     let node_count = cluster.nodes().len();
     let victims: Vec<SocketAddr> = (0..node_count).map(|i| cluster.addr(i)).collect();
@@ -455,14 +458,11 @@ fn run_cluster(args: &Args, peers: &[String], mix: &[Cell]) -> Result<(), String
     let counters = client.cluster().counters();
     let load = |c: &std::sync::atomic::AtomicU64| c.load(std::sync::atomic::Ordering::Relaxed);
     println!(
-        "cluster counters: retries={} hedged={} breaker_open={} peer_unhealthy={} \
-         forwarded={} forward_failures={}",
-        load(&counters.retries),
-        load(&counters.hedged_cells),
+        "cluster counters: retries={} hedged={} breaker_open={} peer_unhealthy={}",
+        client.retries(),
+        client.hedged_cells(),
         load(&counters.breaker_open),
         load(&counters.peer_unhealthy),
-        load(&counters.forwarded_requests),
-        load(&counters.forward_failures),
     );
     Ok(())
 }

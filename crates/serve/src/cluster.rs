@@ -11,29 +11,39 @@
 //! client and every server compute the same key for the same cell
 //! regardless of per-node configuration.
 //!
-//! Resilience is layered:
+//! Each cell is routed once. Every request a cluster member or a
+//! [`ClusterClient`] sends a peer carries `X-Warped-Forwarded`, and a
+//! node serves such a request itself, whoever owns the cell:
 //!
-//! * **Peer forwarding** (server side): a node receiving a cell it
-//!   does not own forwards it one hop to the owner, tagging the
-//!   request with `X-Warped-Forwarded` so the owner always serves
-//!   locally — the loop guard makes a second hop impossible. A failed
-//!   forward degrades to local simulation, never to an error.
+//! * **Client routing** ([`ClusterClient`]): the client picks the
+//!   node — the ring owner, or a replica on retry or hedge — and that
+//!   node answers. Bounded retries walk the ring's replica order with
+//!   decorrelated-jitter exponential backoff and per-attempt
+//!   timeouts; a sweep whose progress stalls re-dispatches the
+//!   straggler cells to the next replica (once per cell), so a node
+//!   killed mid-sweep costs extra work, never a failed or
+//!   non-bit-identical grid.
+//! * **Peer forwarding** (server side, for cluster-unaware clients): a
+//!   node receiving an unmarked cell it does not own forwards it one
+//!   hop to the owner, marked, so the owner serves it locally and a
+//!   second hop is impossible. A failed forward degrades to local
+//!   simulation, never to an error.
 //! * **Circuit breakers**: every peer has a half-open breaker fed by
 //!   active `/healthz` probes and passive 5xx/transport observations.
 //!   `Closed` → `Open` after a failure streak, `Open` → `HalfOpen`
 //!   after a cooldown (one trial request is let through), and the
 //!   trial's outcome closes or re-opens the breaker.
-//! * **Client retries + hedging** ([`ClusterClient`]): bounded
-//!   retries walk the ring's replica order with decorrelated-jitter
-//!   exponential backoff and per-attempt timeouts; a sweep whose
-//!   progress stalls re-dispatches the straggler cells to the next
-//!   replica (once per cell), so a node killed mid-sweep costs extra
-//!   work, never a failed or non-bit-identical grid.
+//!
+//! The tuning (virtual nodes, forward timeout, breaker streak and
+//! cooldown, retry attempts and backoff) is fixed by the constants
+//! below; only membership, the probe cadence and the client's seed,
+//! attempt timeout and hedge trigger are settable.
 //!
 //! The chaos harness ([`chaos_plan`] + [`ChaosMode`]) injects
 //! kill/stall/error faults on a seeded schedule — deterministic, so a
 //! failing chaos run is reproducible from its seed.
 
+use std::io;
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -46,7 +56,8 @@ use warped_gating::GatingParams;
 use warped_workloads::rng::SplitMix64;
 use warped_workloads::Benchmark;
 
-use crate::client::Client;
+use crate::client::{Client, Response};
+use crate::service::read_report_line;
 
 /// Domain tag separating ring-point hashes from every other use of
 /// [`ConfigHasher`].
@@ -56,17 +67,42 @@ const RING_TAG: u64 = 0x7761_7270_6564_5f72;
 /// A request carrying it is served locally, never forwarded again.
 pub const FORWARDED_HEADER: &str = "x-warped-forwarded";
 
+/// Virtual nodes per peer on the hash ring.
+const VNODES: usize = 64;
+
+/// The most peers a ring holds: [`Replicas`] marks the nodes it has
+/// yielded in a `u128`.
+const MAX_PEERS: usize = 128;
+
+/// Per-request timeout of a server-side forward.
+const FORWARD_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// Consecutive failures that trip a breaker `Closed` → `Open`.
+const BREAKER_THRESHOLD: u32 = 3;
+
+/// How long an open breaker holds before a half-open trial.
+const BREAKER_COOLDOWN: Duration = Duration::from_secs(2);
+
+/// Attempts per cell in [`ClusterClient`], the first try included.
+const MAX_ATTEMPTS: u32 = 4;
+
+/// The first retry backoff, and the floor of every later one.
+const BACKOFF_BASE: Duration = Duration::from_millis(25);
+
+/// The retry backoff ceiling.
+const BACKOFF_CAP: Duration = Duration::from_secs(1);
+
 // ---------------------------------------------------------------------------
 // Hash ring
 // ---------------------------------------------------------------------------
 
 /// A consistent-hash ring with virtual nodes.
 ///
-/// Every node contributes `vnodes` points; a key is owned by the node
-/// of the first point at or after the key's hash (wrapping). All
-/// cluster members build the ring from the same sorted peer list, so
-/// ownership is a pure function of (peer list, fingerprint) and every
-/// node and client agree on it without coordination.
+/// Every node contributes 64 points; a key is owned by the node of the
+/// first point at or after the key's hash (wrapping). All cluster
+/// members build the ring from the same sorted peer list, so ownership
+/// is a pure function of (peer list, fingerprint) and every node and
+/// client agree on it without coordination.
 #[derive(Debug)]
 pub struct HashRing {
     /// `(point, node index)` sorted by point.
@@ -76,13 +112,20 @@ pub struct HashRing {
 
 impl HashRing {
     /// Builds the ring over `names` (one entry per node, order
-    /// significant — callers sort first) with `vnodes` points each.
+    /// significant — callers sort first).
+    ///
+    /// # Panics
+    ///
+    /// Panics with more than 128 names.
     #[must_use]
-    pub fn new(names: &[String], vnodes: usize) -> Self {
-        let vnodes = vnodes.max(1);
-        let mut points = Vec::with_capacity(names.len() * vnodes);
+    pub fn new(names: &[String]) -> Self {
+        assert!(
+            names.len() <= MAX_PEERS,
+            "a ring holds at most {MAX_PEERS} nodes"
+        );
+        let mut points = Vec::with_capacity(names.len() * VNODES);
         for (node, name) in names.iter().enumerate() {
-            for v in 0..vnodes {
+            for v in 0..VNODES {
                 let mut h = ConfigHasher::new(RING_TAG);
                 h.str(name).word(v as u64);
                 points.push((h.finish(), node));
@@ -116,18 +159,6 @@ impl HashRing {
             yielded: 0,
         }
     }
-
-    /// Number of nodes on the ring.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.nodes
-    }
-
-    /// Whether the ring has no nodes.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.nodes == 0
-    }
 }
 
 /// Iterator over a key's failover order (see [`HashRing::replicas`]).
@@ -136,7 +167,7 @@ pub struct Replicas<'a> {
     ring: &'a HashRing,
     pos: usize,
     walked: usize,
-    /// Bitset of node indices already yielded (rings are small).
+    /// Bitset of node indices already yielded.
     seen: u128,
     yielded: usize,
 }
@@ -149,7 +180,7 @@ impl Iterator for Replicas<'_> {
             let (_, node) = self.ring.points[self.pos % self.ring.points.len()];
             self.pos += 1;
             self.walked += 1;
-            let bit = 1u128 << (node % 128);
+            let bit = 1u128 << node;
             if self.seen & bit == 0 {
                 self.seen |= bit;
                 self.yielded += 1;
@@ -164,28 +195,11 @@ impl Iterator for Replicas<'_> {
 // Circuit breaker
 // ---------------------------------------------------------------------------
 
-/// Breaker tuning.
-#[derive(Debug, Clone)]
-pub struct BreakerConfig {
-    /// Consecutive failures that trip `Closed` → `Open`.
-    pub threshold: u32,
-    /// How long `Open` holds before a half-open trial is allowed.
-    pub cooldown: Duration,
-}
-
-impl Default for BreakerConfig {
-    fn default() -> Self {
-        BreakerConfig {
-            threshold: 3,
-            cooldown: Duration::from_secs(2),
-        }
-    }
-}
-
 /// The three breaker states.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BreakerState {
     /// Healthy: requests flow.
+    #[default]
     Closed,
     /// Tripped: requests are refused until the cooldown elapses.
     Open,
@@ -193,34 +207,20 @@ pub enum BreakerState {
     HalfOpen,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct BreakerInner {
     state: BreakerState,
     failures: u32,
     opened_at: Option<Instant>,
 }
 
-/// A half-open circuit breaker guarding one peer.
-#[derive(Debug)]
+/// A half-open circuit breaker guarding one peer; starts closed.
+#[derive(Debug, Default)]
 pub struct Breaker {
-    config: BreakerConfig,
     inner: Mutex<BreakerInner>,
 }
 
 impl Breaker {
-    /// A closed breaker with the given tuning.
-    #[must_use]
-    pub fn new(config: BreakerConfig) -> Self {
-        Breaker {
-            config,
-            inner: Mutex::new(BreakerInner {
-                state: BreakerState::Closed,
-                failures: 0,
-                opened_at: None,
-            }),
-        }
-    }
-
     /// Whether a request may go to this peer right now. An `Open`
     /// breaker past its cooldown transitions to `HalfOpen` and admits
     /// the caller as the trial — so call this only when actually about
@@ -233,7 +233,7 @@ impl Breaker {
             BreakerState::Open => {
                 let cooled = inner
                     .opened_at
-                    .is_none_or(|at| at.elapsed() >= self.config.cooldown);
+                    .is_none_or(|at| at.elapsed() >= BREAKER_COOLDOWN);
                 if cooled {
                     inner.state = BreakerState::HalfOpen;
                 }
@@ -263,7 +263,7 @@ impl Breaker {
             }
             BreakerState::Closed => {
                 inner.failures += 1;
-                if inner.failures >= self.config.threshold {
+                if inner.failures >= BREAKER_THRESHOLD {
                     inner.state = BreakerState::Open;
                     inner.opened_at = Some(Instant::now());
                     true
@@ -285,7 +285,7 @@ impl Breaker {
 // Cluster
 // ---------------------------------------------------------------------------
 
-/// Cluster membership and resilience tuning.
+/// Cluster membership and probing.
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
     /// Every node's address, self included. Sorted and deduplicated
@@ -294,15 +294,9 @@ pub struct ClusterConfig {
     /// Which peer is this process (server side); `None` for a pure
     /// client.
     pub self_addr: Option<String>,
-    /// Virtual nodes per peer on the hash ring.
-    pub vnodes: usize,
     /// Active `/healthz` probe cadence; `None` disables the prober
     /// (breakers then learn only from passive observations).
     pub probe_interval: Option<Duration>,
-    /// Per-request timeout for server-side peer forwards.
-    pub forward_timeout: Duration,
-    /// Breaker tuning, shared by every peer.
-    pub breaker: BreakerConfig,
 }
 
 impl Default for ClusterConfig {
@@ -310,10 +304,7 @@ impl Default for ClusterConfig {
         ClusterConfig {
             peers: Vec::new(),
             self_addr: None,
-            vnodes: 64,
             probe_interval: Some(Duration::from_millis(500)),
-            forward_timeout: Duration::from_secs(30),
-            breaker: BreakerConfig::default(),
         }
     }
 }
@@ -325,10 +316,6 @@ pub struct ClusterCounters {
     pub forwarded_requests: AtomicU64,
     /// Forwards that failed and fell back to local simulation.
     pub forward_failures: AtomicU64,
-    /// Client-side retry attempts (re-dispatches after a failure).
-    pub retries: AtomicU64,
-    /// Straggler sweep cells hedged to the next ring replica.
-    pub hedged_cells: AtomicU64,
     /// Breaker trips (`Closed`/`HalfOpen` → `Open` transitions).
     pub breaker_open: AtomicU64,
     /// Failed peer health observations (probes and passive).
@@ -340,17 +327,48 @@ pub struct ClusterCounters {
 /// can join it without a reference cycle).
 #[derive(Debug)]
 struct PeerTable {
+    names: Vec<String>,
     addrs: Vec<SocketAddr>,
     breakers: Vec<Breaker>,
     counters: ClusterCounters,
 }
 
 impl PeerTable {
-    fn record_failure(&self, node: usize) {
+    /// A closing client to `node` whose connect and reads time out
+    /// after `timeout`. It marks every request with the loop guard, so
+    /// `node` answers it itself.
+    fn client(&self, node: usize, timeout: Duration) -> Client {
+        Client::new(self.addrs[node])
+            .with_keep_alive(false)
+            .with_read_timeout(Some(timeout))
+            .with_connect_timeout(Some(timeout))
+            .with_header("X-Warped-Forwarded", "1")
+    }
+
+    /// Books one exchange with `node` to its breaker: a success closes
+    /// it, a failure counts in `peer_unhealthy` and toward a trip.
+    fn book(&self, node: usize, ok: bool) {
+        if ok {
+            self.breakers[node].record_success();
+            return;
+        }
         self.counters.peer_unhealthy.fetch_add(1, Ordering::Relaxed);
         if self.breakers[node].record_failure() {
             self.counters.breaker_open.fetch_add(1, Ordering::Relaxed);
         }
+    }
+
+    /// Books a one-shot exchange with `node` and hands back its `200`
+    /// body, or says what went wrong.
+    fn settle(&self, node: usize, answer: io::Result<Response>) -> Result<Vec<u8>, String> {
+        let name = &self.names[node];
+        let outcome = match answer {
+            Ok(r) if r.status == 200 => Ok(r.body),
+            Ok(r) => Err(format!("{name} answered {}: {:.200}", r.status, r.text())),
+            Err(e) => Err(format!("{name}: {e}")),
+        };
+        self.book(node, outcome.is_ok());
+        outcome
     }
 }
 
@@ -365,10 +383,8 @@ struct Prober {
 /// (forwarding) and the [`ClusterClient`].
 #[derive(Debug)]
 pub struct Cluster {
-    names: Vec<String>,
     self_index: Option<usize>,
     ring: HashRing,
-    forward_timeout: Duration,
     table: Arc<PeerTable>,
     prober: Option<Prober>,
 }
@@ -379,14 +395,21 @@ impl Cluster {
     ///
     /// # Errors
     ///
-    /// Returns a message when the peer list is empty, an address does
-    /// not resolve, or `self_addr` is not in the list.
+    /// Returns a message when the peer list is empty or names more
+    /// than 128 distinct peers, an address does not resolve, or
+    /// `self_addr` is not in the list.
     pub fn new(config: &ClusterConfig) -> Result<Cluster, String> {
         let mut names = config.peers.clone();
         names.sort();
         names.dedup();
         if names.is_empty() {
             return Err("cluster needs at least one peer".to_owned());
+        }
+        if names.len() > MAX_PEERS {
+            return Err(format!(
+                "cluster takes at most {MAX_PEERS} peers, got {}",
+                names.len()
+            ));
         }
         let addrs = names
             .iter()
@@ -406,23 +429,19 @@ impl Cluster {
                     .ok_or_else(|| format!("self address {own} is not in the peer list"))?,
             ),
         };
-        let ring = HashRing::new(&names, config.vnodes);
+        let ring = HashRing::new(&names);
         let table = Arc::new(PeerTable {
+            breakers: names.iter().map(|_| Breaker::default()).collect(),
+            names,
             addrs,
-            breakers: names
-                .iter()
-                .map(|_| Breaker::new(config.breaker.clone()))
-                .collect(),
             counters: ClusterCounters::default(),
         });
         let prober = config
             .probe_interval
             .map(|interval| spawn_prober(Arc::clone(&table), self_index, interval));
         Ok(Cluster {
-            names,
             self_index,
             ring,
-            forward_timeout: config.forward_timeout,
             table,
             prober,
         })
@@ -431,7 +450,7 @@ impl Cluster {
     /// The sorted peer list the ring was built from.
     #[must_use]
     pub fn nodes(&self) -> &[String] {
-        &self.names
+        &self.table.names
     }
 
     /// This process's index in [`Cluster::nodes`], when it is a member.
@@ -462,17 +481,6 @@ impl Cluster {
     #[must_use]
     pub fn counters(&self) -> &ClusterCounters {
         &self.table.counters
-    }
-
-    /// Records a failed exchange with `node` (passive observation):
-    /// bumps `peer_unhealthy` and feeds the breaker.
-    pub fn record_peer_failure(&self, node: usize) {
-        self.table.record_failure(node);
-    }
-
-    /// Records a successful exchange with `node`: the breaker closes.
-    pub fn record_peer_success(&self, node: usize) {
-        self.table.breakers[node].record_success();
     }
 
     /// Picks the node for `fingerprint` at failover position `offset`
@@ -507,38 +515,25 @@ impl Cluster {
         self.table.breakers[owner].allow().then_some(owner)
     }
 
-    /// Forwards one `/run` body to `node` with the loop-guard header
-    /// set. Success feeds the breaker and `forwarded_requests`;
-    /// failure feeds the breaker and `forward_failures` and returns
-    /// the error (the caller falls back to local simulation).
-    ///
-    /// # Errors
-    ///
-    /// Returns a message on transport failure or a non-200 answer.
-    pub fn forward_run(&self, node: usize, body: &str) -> Result<Vec<u8>, String> {
-        let mut client = Client::new(self.table.addrs[node])
-            .with_keep_alive(false)
-            .with_read_timeout(Some(self.forward_timeout))
-            .with_connect_timeout(Some(self.forward_timeout))
-            .with_header("X-Warped-Forwarded", "1");
+    /// Forwards one `/run` body to `node`, which serves it itself.
+    /// The outcome feeds the breaker and `forwarded_requests` or
+    /// `forward_failures`; `None` (transport failure or a non-200
+    /// answer) means the caller simulates locally.
+    #[must_use]
+    pub fn forward_run(&self, node: usize, body: &str) -> Option<Vec<u8>> {
+        let answer = self
+            .table
+            .client(node, FORWARD_TIMEOUT)
+            .post_json("/run", body);
+        let bytes = self.table.settle(node, answer).ok();
         let counters = &self.table.counters;
-        match client.post_json("/run", body) {
-            Ok(r) if r.status == 200 => {
-                self.record_peer_success(node);
-                counters.forwarded_requests.fetch_add(1, Ordering::Relaxed);
-                Ok(r.body)
-            }
-            Ok(r) => {
-                self.table.record_failure(node);
-                counters.forward_failures.fetch_add(1, Ordering::Relaxed);
-                Err(format!("peer {} answered {}", self.names[node], r.status))
-            }
-            Err(e) => {
-                self.table.record_failure(node);
-                counters.forward_failures.fetch_add(1, Ordering::Relaxed);
-                Err(format!("peer {} unreachable: {e}", self.names[node]))
-            }
-        }
+        let counter = if bytes.is_some() {
+            &counters.forwarded_requests
+        } else {
+            &counters.forward_failures
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        bytes
     }
 }
 
@@ -569,14 +564,8 @@ fn spawn_prober(table: Arc<PeerTable>, self_index: Option<usize>, interval: Dura
                     if self_index == Some(node) {
                         continue;
                     }
-                    let mut client = Client::new(table.addrs[node])
-                        .with_keep_alive(false)
-                        .with_read_timeout(Some(probe_timeout))
-                        .with_connect_timeout(Some(probe_timeout));
-                    match client.get("/healthz") {
-                        Ok(r) if r.status == 200 => table.breakers[node].record_success(),
-                        _ => table.record_failure(node),
-                    }
+                    let answer = table.client(node, probe_timeout).get("/healthz");
+                    let _ = table.settle(node, answer);
                 }
                 // Sleep the interval in short ticks so drop-time join
                 // never waits a full cadence.
@@ -597,34 +586,14 @@ fn spawn_prober(table: Arc<PeerTable>, self_index: Option<usize>, interval: Dura
 // Cluster client
 // ---------------------------------------------------------------------------
 
-/// Retry tuning for [`ClusterClient`].
-#[derive(Debug, Clone)]
-pub struct RetryPolicy {
-    /// Total attempts per cell (first try included).
-    pub max_attempts: u32,
-    /// First backoff delay.
-    pub base: Duration,
-    /// Backoff ceiling.
-    pub cap: Duration,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 4,
-            base: Duration::from_millis(25),
-            cap: Duration::from_secs(1),
-        }
-    }
-}
-
 /// One routable cell: the `/run` body and its routing fingerprint.
 #[derive(Debug, Clone)]
 pub struct ClusterCell {
     /// The canonical `/run` request body.
     pub body: String,
-    /// The cell's [`cell_fingerprint`] — must match what the server
-    /// computes for `body`, or routing degenerates to forwarding.
+    /// The cell's [`cell_fingerprint`] — should match what the server
+    /// computes for `body`, or the cell is served off its owner (the
+    /// bytes are the same; the owner's cache shard is not used).
     pub fingerprint: u64,
 }
 
@@ -654,14 +623,16 @@ const RETRY_WORKERS: usize = 4;
 
 /// A resilient client over a [`Cluster`]: routes each cell to its
 /// ring owner, retries across replicas with decorrelated-jitter
-/// backoff, and hedges sweep stragglers.
+/// backoff, and hedges sweep stragglers. The node it picks serves the
+/// cell; no server re-routes it.
 #[derive(Debug)]
 pub struct ClusterClient {
     cluster: Cluster,
-    retry: RetryPolicy,
     attempt_timeout: Duration,
     hedge_after: Duration,
     rng: Mutex<SplitMix64>,
+    retries: AtomicU64,
+    hedged_cells: AtomicU64,
 }
 
 /// Coordinator-side cell state during a sweep.
@@ -672,24 +643,18 @@ enum CellState {
 }
 
 impl ClusterClient {
-    /// A client over `cluster` with default tuning and a fixed backoff
-    /// seed (pass a different seed per process for decorrelation).
+    /// A client over `cluster` with a fixed backoff seed (pass a
+    /// different seed per process for decorrelation).
     #[must_use]
     pub fn new(cluster: Cluster, seed: u64) -> Self {
         ClusterClient {
             cluster,
-            retry: RetryPolicy::default(),
             attempt_timeout: Duration::from_secs(60),
             hedge_after: DEFAULT_HEDGE_AFTER,
             rng: Mutex::new(SplitMix64::new(seed)),
+            retries: AtomicU64::new(0),
+            hedged_cells: AtomicU64::new(0),
         }
-    }
-
-    /// Overrides the retry policy.
-    #[must_use]
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
     }
 
     /// Overrides the per-attempt timeout (connect + read).
@@ -712,29 +677,38 @@ impl ClusterClient {
         &self.cluster
     }
 
+    /// Cell re-dispatches so far: retry attempts after a failure, and
+    /// cells a `/sweep` stream left unanswered.
+    #[must_use]
+    pub fn retries(&self) -> u64 {
+        self.retries.load(Ordering::Relaxed)
+    }
+
+    /// Straggler sweep cells hedged to the next ring replica so far.
+    #[must_use]
+    pub fn hedged_cells(&self) -> u64 {
+        self.hedged_cells.load(Ordering::Relaxed)
+    }
+
     fn node_client(&self, node: usize) -> Client {
-        Client::new(self.cluster.addr(node))
-            .with_keep_alive(false)
-            .with_read_timeout(Some(self.attempt_timeout))
-            .with_connect_timeout(Some(self.attempt_timeout))
+        self.cluster.table.client(node, self.attempt_timeout)
     }
 
     /// Decorrelated jitter (AWS style): the next delay is uniform in
     /// `[base, 3 × previous]`, capped.
     fn next_delay(&self, previous: Duration) -> Duration {
-        let base = self.retry.base.as_secs_f64();
+        let base = BACKOFF_BASE.as_secs_f64();
         let upper = (previous.as_secs_f64() * 3.0).max(base);
         let draw = self.rng.lock().expect("rng lock poisoned").next_f64();
         let next = base + draw * (upper - base);
-        Duration::from_secs_f64(next).min(self.retry.cap)
+        Duration::from_secs_f64(next).min(BACKOFF_CAP)
     }
 
     /// Runs one cell with retries across the ring's replica order.
     ///
     /// # Errors
     ///
-    /// Returns the last failure after `max_attempts` exhausted every
-    /// backoff.
+    /// Returns the last failure after every attempt and backoff.
     pub fn run(&self, cell: &ClusterCell) -> Result<Vec<u8>, String> {
         self.run_from(cell, 0)
     }
@@ -743,36 +717,21 @@ impl ClusterClient {
     /// (1 = skip the owner; used for re-dispatch when the owner is the
     /// suspected failure).
     fn run_from(&self, cell: &ClusterCell, start: usize) -> Result<Vec<u8>, String> {
-        let counters = self.cluster.counters();
-        let mut delay = self.retry.base;
-        let mut last_err = "no attempts were made".to_owned();
-        for attempt in 0..self.retry.max_attempts.max(1) {
+        let mut delay = BACKOFF_BASE;
+        let mut last_err = String::new();
+        for attempt in 0..MAX_ATTEMPTS {
             if attempt > 0 {
-                counters.retries.fetch_add(1, Ordering::Relaxed);
+                self.retries.fetch_add(1, Ordering::Relaxed);
                 std::thread::sleep(delay);
                 delay = self.next_delay(delay);
             }
             let node = self
                 .cluster
                 .route(cell.fingerprint, start + attempt as usize);
-            match self.node_client(node).post_json("/run", &cell.body) {
-                Ok(r) if r.status == 200 => {
-                    self.cluster.record_peer_success(node);
-                    return Ok(r.body);
-                }
-                Ok(r) => {
-                    self.cluster.record_peer_failure(node);
-                    last_err = format!(
-                        "{} answered {}: {:.200}",
-                        self.cluster.nodes()[node],
-                        r.status,
-                        r.text()
-                    );
-                }
-                Err(e) => {
-                    self.cluster.record_peer_failure(node);
-                    last_err = format!("{}: {e}", self.cluster.nodes()[node]);
-                }
+            let answer = self.node_client(node).post_json("/run", &cell.body);
+            match self.cluster.table.settle(node, answer) {
+                Ok(bytes) => return Ok(bytes),
+                Err(e) => last_err = e,
             }
         }
         Err(last_err)
@@ -838,7 +797,6 @@ impl ClusterClient {
             }
             drop(event_tx);
 
-            let counters = self.cluster.counters();
             let mut state: Vec<CellState> = (0..n).map(|_| CellState::Outstanding).collect();
             let mut hedged = vec![false; n];
             let mut open = n;
@@ -875,7 +833,7 @@ impl ClusterClient {
                         for i in 0..n {
                             if matches!(state[i], CellState::Outstanding) && !hedged[i] {
                                 hedged[i] = true;
-                                counters.hedged_cells.fetch_add(1, Ordering::Relaxed);
+                                self.hedged_cells.fetch_add(1, Ordering::Relaxed);
                                 let _ = retry_tx.send(i);
                             }
                         }
@@ -922,42 +880,27 @@ impl ClusterClient {
         let bodies: Vec<&str> = group.iter().map(|&i| cells[i].body.as_str()).collect();
         let body = format!("{{\"cells\":[{}]}}", bodies.join(","));
         let mut seen = vec![false; group.len()];
-        let mut client = self.node_client(node);
-        let outcome = client.post_stream_lines("/sweep", &body, |line| {
-            // `{"index":<sub>,"report":<run body>}` — error lines and
-            // parse failures stay unseen and take the retry path.
-            let Some((head, tail)) = line.split_once(",\"report\":") else {
-                return;
-            };
-            let Some(sub) = head
-                .strip_prefix("{\"index\":")
-                .and_then(|s| s.parse::<usize>().ok())
-            else {
-                return;
-            };
-            let Some(report) = tail.strip_suffix('}') else {
-                return;
-            };
-            if let Some(&global) = group.get(sub) {
-                seen[sub] = true;
-                // Reconstruct the exact `/run` body (trailing newline
-                // included) so cluster results are byte-identical to
-                // single-node results.
-                let mut bytes = report.as_bytes().to_vec();
-                bytes.push(b'\n');
-                let _ = event_tx.send((global, Ok(bytes)));
-            }
-        });
-        let complete = seen.iter().all(|s| *s);
-        match outcome {
-            Ok(200) if complete => self.cluster.record_peer_success(node),
-            Ok(200) => {}
-            _ => self.cluster.record_peer_failure(node),
+        let outcome = self
+            .node_client(node)
+            .post_stream_lines("/sweep", &body, |line| {
+                // Error lines stay unseen and take the retry path.
+                let Some((sub, bytes)) = read_report_line(line) else {
+                    return;
+                };
+                if let Some(&global) = group.get(sub) {
+                    seen[sub] = true;
+                    let _ = event_tx.send((global, Ok(bytes)));
+                }
+            });
+        // A broken stream counts against the node and a complete one
+        // for it; error lines in a 200 stream say neither.
+        let ok = matches!(outcome, Ok(200));
+        if !ok || seen.iter().all(|s| *s) {
+            self.cluster.table.book(node, ok);
         }
-        let counters = self.cluster.counters();
         for (sub, &global) in group.iter().enumerate() {
             if !seen[sub] {
-                counters.retries.fetch_add(1, Ordering::Relaxed);
+                self.retries.fetch_add(1, Ordering::Relaxed);
                 let _ = retry_tx.send(global);
             }
         }
@@ -970,62 +913,55 @@ impl ClusterClient {
 
 /// Fault injected into a running node (`POST /chaos` sets it).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[repr(u8)]
 pub enum ChaosMode {
     /// No fault: serve normally.
     #[default]
-    None,
+    None = 0,
     /// Answer every request with a typed `500`.
-    Error,
+    Error = 1,
     /// Freeze every request until the mode clears (bounded).
-    Stall,
+    Stall = 2,
     /// Drop the connection mid-request — an in-process `kill -9`.
-    Abort,
+    Abort = 3,
 }
 
 impl ChaosMode {
+    /// Every mode with its wire name, indexed by its byte.
+    const TABLE: [(ChaosMode, &'static str); 4] = [
+        (ChaosMode::None, "none"),
+        (ChaosMode::Error, "error"),
+        (ChaosMode::Stall, "stall"),
+        (ChaosMode::Abort, "abort"),
+    ];
+
     /// Stable wire encoding (for the atomic the service stores).
     #[must_use]
     pub fn as_u8(self) -> u8 {
-        match self {
-            ChaosMode::None => 0,
-            ChaosMode::Error => 1,
-            ChaosMode::Stall => 2,
-            ChaosMode::Abort => 3,
-        }
+        self as u8
     }
 
     /// Inverse of [`ChaosMode::as_u8`] (unknown values are `None`).
     #[must_use]
     pub fn from_u8(value: u8) -> Self {
-        match value {
-            1 => ChaosMode::Error,
-            2 => ChaosMode::Stall,
-            3 => ChaosMode::Abort,
-            _ => ChaosMode::None,
-        }
+        Self::TABLE
+            .get(usize::from(value))
+            .map_or(ChaosMode::None, |(mode, _)| *mode)
     }
 
     /// The lowercase wire name.
     #[must_use]
     pub fn name(self) -> &'static str {
-        match self {
-            ChaosMode::None => "none",
-            ChaosMode::Error => "error",
-            ChaosMode::Stall => "stall",
-            ChaosMode::Abort => "abort",
-        }
+        Self::TABLE[usize::from(self.as_u8())].1
     }
 
     /// Parses a wire name.
     #[must_use]
     pub fn from_name(name: &str) -> Option<Self> {
-        match name {
-            "none" => Some(ChaosMode::None),
-            "error" => Some(ChaosMode::Error),
-            "stall" => Some(ChaosMode::Stall),
-            "abort" => Some(ChaosMode::Abort),
-            _ => None,
-        }
+        Self::TABLE
+            .iter()
+            .find(|(_, wire)| *wire == name)
+            .map(|(mode, _)| *mode)
     }
 }
 
@@ -1069,8 +1005,8 @@ mod tests {
     #[test]
     fn ring_ownership_is_deterministic_and_total() {
         let nodes = names(&["10.0.0.1:1", "10.0.0.2:1", "10.0.0.3:1"]);
-        let a = HashRing::new(&nodes, 64);
-        let b = HashRing::new(&nodes, 64);
+        let a = HashRing::new(&nodes);
+        let b = HashRing::new(&nodes);
         let mut rng = SplitMix64::new(7);
         let mut owned = [0usize; 3];
         for _ in 0..3000 {
@@ -1090,7 +1026,7 @@ mod tests {
     #[test]
     fn ring_replicas_are_distinct_and_start_at_the_owner() {
         let nodes = names(&["a:1", "b:1", "c:1", "d:1"]);
-        let ring = HashRing::new(&nodes, 32);
+        let ring = HashRing::new(&nodes);
         let mut rng = SplitMix64::new(11);
         for _ in 0..200 {
             let key = rng.next_u64();
@@ -1108,8 +1044,8 @@ mod tests {
     fn removing_a_node_only_remaps_its_own_keys() {
         let three = names(&["a:1", "b:1", "c:1"]);
         let two = names(&["a:1", "b:1"]);
-        let full = HashRing::new(&three, 64);
-        let reduced = HashRing::new(&two, 64);
+        let full = HashRing::new(&three);
+        let reduced = HashRing::new(&two);
         let mut rng = SplitMix64::new(3);
         let mut moved = 0;
         let mut kept = 0;
@@ -1131,27 +1067,36 @@ mod tests {
         assert_eq!(moved, 0, "{kept} kept, {moved} moved");
     }
 
+    /// Ages an open breaker past its cooldown.
+    fn cool(breaker: &Breaker) {
+        let mut inner = breaker.inner.lock().unwrap();
+        inner.opened_at = inner.opened_at.map(|at| at - BREAKER_COOLDOWN);
+    }
+
     #[test]
     fn breaker_walks_closed_open_halfopen_and_back() {
-        let breaker = Breaker::new(BreakerConfig {
-            threshold: 2,
-            cooldown: Duration::from_millis(20),
-        });
+        let breaker = Breaker::default();
         assert_eq!(breaker.state(), BreakerState::Closed);
-        assert!(!breaker.record_failure());
-        assert!(breaker.allow(), "one failure stays closed");
-        assert!(breaker.record_failure(), "second failure trips it");
+        for _ in 1..BREAKER_THRESHOLD {
+            assert!(!breaker.record_failure());
+            assert!(breaker.allow(), "a short streak stays closed");
+        }
+        assert!(
+            breaker.record_failure(),
+            "the streak's last failure trips it"
+        );
         assert_eq!(breaker.state(), BreakerState::Open);
         assert!(!breaker.allow(), "open refuses before the cooldown");
 
-        std::thread::sleep(Duration::from_millis(25));
+        cool(&breaker);
         assert!(breaker.allow(), "cooldown admits one trial");
         assert_eq!(breaker.state(), BreakerState::HalfOpen);
         assert!(!breaker.allow(), "only one trial at a time");
         assert!(breaker.record_failure(), "failed trial re-opens");
         assert_eq!(breaker.state(), BreakerState::Open);
+        assert!(!breaker.allow(), "a re-opened breaker cools down again");
 
-        std::thread::sleep(Duration::from_millis(25));
+        cool(&breaker);
         assert!(breaker.allow());
         breaker.record_success();
         assert_eq!(breaker.state(), BreakerState::Closed);
@@ -1164,14 +1109,12 @@ mod tests {
             peers: names(&["127.0.0.1:19001", "127.0.0.1:19002"]),
             self_addr: Some("127.0.0.1:19001".to_owned()),
             probe_interval: None,
-            ..ClusterConfig::default()
         })
         .unwrap();
         let backward = Cluster::new(&ClusterConfig {
             peers: names(&["127.0.0.1:19002", "127.0.0.1:19001"]),
             self_addr: Some("127.0.0.1:19002".to_owned()),
             probe_interval: None,
-            ..ClusterConfig::default()
         })
         .unwrap();
         assert_eq!(forward.nodes(), backward.nodes(), "sorted membership");
@@ -1193,7 +1136,6 @@ mod tests {
                 peers: names(&["127.0.0.1:19001"]),
                 self_addr: Some("127.0.0.1:9".to_owned()),
                 probe_interval: None,
-                ..ClusterConfig::default()
             })
             .is_err(),
             "self must be a member"
@@ -1201,41 +1143,61 @@ mod tests {
     }
 
     #[test]
+    fn cluster_takes_at_most_128_peers_and_fails_over_to_every_one() {
+        let peers = |n: u16| ClusterConfig {
+            peers: (0..n).map(|i| format!("127.0.0.1:{}", 20000 + i)).collect(),
+            self_addr: None,
+            probe_interval: None,
+        };
+        assert_eq!(
+            Cluster::new(&peers(129)).unwrap_err(),
+            "cluster takes at most 128 peers, got 129"
+        );
+        let cluster = Cluster::new(&peers(128)).expect("128 peers build");
+        let mut rng = SplitMix64::new(17);
+        for _ in 0..20 {
+            let mut order: Vec<usize> = cluster.ring().replicas(rng.next_u64()).collect();
+            order.sort_unstable();
+            assert_eq!(order, (0..128).collect::<Vec<_>>(), "every node once");
+        }
+    }
+
+    #[test]
     fn route_skips_open_breakers() {
         let cluster = Cluster::new(&ClusterConfig {
             peers: names(&["127.0.0.1:19011", "127.0.0.1:19012", "127.0.0.1:19013"]),
+            self_addr: None,
             probe_interval: None,
-            breaker: BreakerConfig {
-                threshold: 1,
-                cooldown: Duration::from_secs(60),
-            },
-            ..ClusterConfig::default()
         })
         .unwrap();
         let cell = cell_for(Benchmark::Nw, Technique::Baseline, 0.05);
         let owner = cluster.ring().owner(cell.fingerprint);
         assert_eq!(cluster.route(cell.fingerprint, 0), owner);
-        cluster.record_peer_failure(owner);
+        for _ in 0..BREAKER_THRESHOLD {
+            cluster.table.book(owner, false);
+        }
         assert_eq!(cluster.breaker(owner).state(), BreakerState::Open);
         let rerouted = cluster.route(cell.fingerprint, 0);
         assert_ne!(rerouted, owner, "open breaker skips the owner");
         let order: Vec<usize> = cluster.ring().replicas(cell.fingerprint).collect();
         assert_eq!(rerouted, order[1], "…to the next replica in ring order");
         assert_eq!(cluster.counters().breaker_open.load(Ordering::Relaxed), 1);
-        assert_eq!(cluster.counters().peer_unhealthy.load(Ordering::Relaxed), 1);
+        assert_eq!(
+            cluster.counters().peer_unhealthy.load(Ordering::Relaxed),
+            u64::from(BREAKER_THRESHOLD)
+        );
     }
 
     #[test]
     fn forward_target_is_loop_free() {
         let peers = names(&["127.0.0.1:19021", "127.0.0.1:19022"]);
-        let config = |own: &str| ClusterConfig {
+        let config = |own: Option<&str>| ClusterConfig {
             peers: peers.clone(),
-            self_addr: Some(own.to_owned()),
+            self_addr: own.map(str::to_owned),
             probe_interval: None,
-            ..ClusterConfig::default()
         };
-        let a = Cluster::new(&config("127.0.0.1:19021")).unwrap();
-        let b = Cluster::new(&config("127.0.0.1:19022")).unwrap();
+        let a = Cluster::new(&config(Some("127.0.0.1:19021"))).unwrap();
+        let b = Cluster::new(&config(Some("127.0.0.1:19022"))).unwrap();
         let mut rng = SplitMix64::new(13);
         for _ in 0..200 {
             let key = rng.next_u64();
@@ -1249,13 +1211,7 @@ mod tests {
             );
         }
         // A pure client never forwards.
-        let client_view = Cluster::new(&ClusterConfig {
-            peers: peers.clone(),
-            self_addr: None,
-            probe_interval: None,
-            ..ClusterConfig::default()
-        })
-        .unwrap();
+        let client_view = Cluster::new(&config(None)).unwrap();
         assert_eq!(client_view.forward_target(rng.next_u64()), None);
     }
 
@@ -1278,15 +1234,12 @@ mod tests {
 
     #[test]
     fn chaos_mode_round_trips_names_and_bytes() {
-        for mode in [
-            ChaosMode::None,
-            ChaosMode::Error,
-            ChaosMode::Stall,
-            ChaosMode::Abort,
-        ] {
-            assert_eq!(ChaosMode::from_u8(mode.as_u8()), mode);
-            assert_eq!(ChaosMode::from_name(mode.name()), Some(mode));
+        for (byte, name) in [(0, "none"), (1, "error"), (2, "stall"), (3, "abort")] {
+            let mode = ChaosMode::from_u8(byte);
+            assert_eq!((mode.as_u8(), mode.name()), (byte, name));
+            assert_eq!(ChaosMode::from_name(name), Some(mode));
         }
+        assert_eq!(ChaosMode::from_u8(4), ChaosMode::None);
         assert_eq!(ChaosMode::from_name("nope"), None);
     }
 
@@ -1294,7 +1247,7 @@ mod tests {
     fn cell_for_matches_the_server_side_fingerprint() {
         // The client fingerprint must equal what the service computes
         // (which folds in its own job_timeout — excluded from the
-        // hash) or routing would degrade to per-cell forwarding.
+        // hash) or cells would be served off their owners.
         let cell = cell_for(Benchmark::Bfs, Technique::WarpedGates, 0.25);
         let with_watchdog = Experiment::new(GatingParams::default())
             .with_scale(0.25)

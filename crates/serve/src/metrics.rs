@@ -341,16 +341,6 @@ impl Metrics {
                 |c| &c.forward_failures,
             ),
             cluster_counter(
-                "warped_serve_cluster_retries_total",
-                "Cell dispatches retried on another replica.",
-                |c| &c.retries,
-            ),
-            cluster_counter(
-                "warped_serve_cluster_hedged_cells_total",
-                "Straggler sweep cells hedged to the next ring replica.",
-                |c| &c.hedged_cells,
-            ),
-            cluster_counter(
                 "warped_serve_cluster_breaker_open_total",
                 "Circuit-breaker trips (transitions to the open state).",
                 |c| &c.breaker_open,
@@ -452,8 +442,6 @@ mod tests {
         assert!(page.contains("warped_serve_trace_cells_served_total 0"));
         // Cluster counters are present (as zeros) even off-cluster.
         assert!(page.contains("warped_serve_cluster_forwarded_requests_total 0"));
-        assert!(page.contains("warped_serve_cluster_retries_total 0"));
-        assert!(page.contains("warped_serve_cluster_hedged_cells_total 0"));
         assert!(page.contains("warped_serve_cluster_breaker_open_total 0"));
         assert!(page.contains("warped_serve_cluster_peer_unhealthy_total 0"));
         assert!(page.contains("warped_serve_cluster_forward_failures_total 0"));
@@ -472,10 +460,10 @@ mod tests {
         .unwrap();
         cluster
             .counters()
-            .hedged_cells
+            .breaker_open
             .fetch_add(4, Ordering::Relaxed);
         let page = m.render(&cache, None, Some(&cluster));
-        assert!(page.contains("warped_serve_cluster_hedged_cells_total 4"));
+        assert!(page.contains("warped_serve_cluster_breaker_open_total 4"));
     }
 
     #[test]

@@ -403,13 +403,14 @@ fn serve_connection(ctx: &Ctx, stream: TcpStream) -> io::Result<()> {
             }
             Err(HttpError::Bad(status, reason)) => {
                 // Framing is broken; answer and close (no way to know
-                // where the next request starts).
-                return Fail::new(status, "bad_request", reason).answer(
-                    metrics,
-                    &mut writer,
-                    &[],
-                    false,
-                );
+                // where the next request starts). A 501 names what the
+                // server lacks, not a fault in the request.
+                let kind = if status == 501 {
+                    "not_implemented"
+                } else {
+                    "bad_request"
+                };
+                return Fail::new(status, kind, reason).answer(metrics, &mut writer, &[], false);
             }
             // The peer vanished mid-request; nothing to answer.
             Err(HttpError::Io(e)) => return Err(e),

@@ -1,6 +1,8 @@
-//! Cluster-mode tests over real sockets: consistent-hash forwarding,
-//! dead-owner fallback, chaos-killed nodes mid-sweep, straggler
-//! hedging, and the health prober tripping breakers.
+//! Cluster-mode tests over real sockets: consistent-hash forwarding
+//! for cluster-unaware clients, dead-owner fallback, chaos-killed
+//! nodes mid-sweep, straggler hedging (neither of which makes a node
+//! forward a client-routed cell), and the health prober tripping
+//! breakers.
 
 use std::net::TcpListener;
 use std::sync::atomic::Ordering;
@@ -8,7 +10,7 @@ use std::time::{Duration, Instant};
 
 use warped_gates::Technique;
 use warped_serve::cluster::{
-    cell_for, ChaosMode, Cluster, ClusterCell, ClusterClient, ClusterConfig, RetryPolicy,
+    cell_for, ChaosMode, Cluster, ClusterCell, ClusterClient, ClusterConfig,
 };
 use warped_serve::{client, spawn, ServerConfig, ServerHandle, ServiceConfig};
 use warped_workloads::Benchmark;
@@ -30,15 +32,13 @@ fn spawn_node() -> ServerHandle {
 
 /// Arms every node with the same peer list (their real ephemeral
 /// addresses, unknowable before spawn) and returns that list.
-fn arm(nodes: &[&ServerHandle], forward_timeout: Duration) -> Vec<String> {
+fn arm(nodes: &[&ServerHandle]) -> Vec<String> {
     let peers: Vec<String> = nodes.iter().map(|n| n.addr().to_string()).collect();
     for node in nodes {
         let cluster = Cluster::new(&ClusterConfig {
             peers: peers.clone(),
             self_addr: Some(node.addr().to_string()),
             probe_interval: None,
-            forward_timeout,
-            ..ClusterConfig::default()
         })
         .expect("a valid cluster");
         node.service().arm_cluster(cluster);
@@ -46,12 +46,29 @@ fn arm(nodes: &[&ServerHandle], forward_timeout: Duration) -> Vec<String> {
     peers
 }
 
+/// The client routes every cell itself and the node it lands on
+/// serves it: no node forwarded, or tried to.
+fn assert_no_node_forwarded(nodes: &[ServerHandle]) {
+    for node in nodes {
+        let counters = node.service().cluster().expect("armed").counters();
+        assert_eq!(
+            (
+                counters.forwarded_requests.load(Ordering::Relaxed),
+                counters.forward_failures.load(Ordering::Relaxed),
+            ),
+            (0, 0),
+            "node {} forwarded a client-routed cell",
+            node.addr()
+        );
+    }
+}
+
 /// A pure-client cluster view over `peers` (no self, no prober).
 fn client_cluster(peers: &[String]) -> Cluster {
     Cluster::new(&ClusterConfig {
         peers: peers.to_vec(),
+        self_addr: None,
         probe_interval: None,
-        ..ClusterConfig::default()
     })
     .expect("a valid cluster")
 }
@@ -75,7 +92,7 @@ fn dead_addr() -> String {
 fn misrouted_cells_forward_one_hop_to_their_owner() {
     let mut a = spawn_node();
     let mut b = spawn_node();
-    let _peers = arm(&[&a, &b], Duration::from_secs(10));
+    let _peers = arm(&[&a, &b]);
 
     // A cell whose ring owner is node B, posted to node A.
     let cluster_a = a.service().cluster().expect("armed");
@@ -122,8 +139,6 @@ fn dead_owner_falls_back_to_local_simulation() {
         peers: peers.clone(),
         self_addr: Some(node.addr().to_string()),
         probe_interval: None,
-        forward_timeout: Duration::from_millis(500),
-        ..ClusterConfig::default()
     })
     .expect("a valid cluster");
     node.service().arm_cluster(cluster);
@@ -153,7 +168,7 @@ fn dead_owner_falls_back_to_local_simulation() {
 #[test]
 fn killed_node_mid_sweep_still_returns_every_cell_bit_identical() {
     let mut nodes = [spawn_node(), spawn_node(), spawn_node()];
-    let peers = arm(&[&nodes[0], &nodes[1], &nodes[2]], Duration::from_secs(10));
+    let peers = arm(&[&nodes[0], &nodes[1], &nodes[2]]);
     let mut reference = spawn_node();
 
     let cells = all_cells();
@@ -167,11 +182,6 @@ fn killed_node_mid_sweep_still_returns_every_cell_bit_identical() {
     victim.service().set_chaos(ChaosMode::Abort);
 
     let client = ClusterClient::new(cluster, 0xC1A0)
-        .with_retry(RetryPolicy {
-            max_attempts: 4,
-            base: Duration::from_millis(10),
-            cap: Duration::from_millis(100),
-        })
         .with_attempt_timeout(Duration::from_secs(30))
         .with_hedge_after(Duration::from_secs(5));
     let results = client.sweep(&cells).expect("the sweep survives the kill");
@@ -189,11 +199,11 @@ fn killed_node_mid_sweep_still_returns_every_cell_bit_identical() {
     }
 
     // The failover is visible: the dead streams were re-dispatched.
-    let counters = client.cluster().counters();
     assert!(
-        counters.retries.load(Ordering::Relaxed) >= 1,
+        client.retries() >= 1,
         "killed streams must requeue their cells as retries"
     );
+    assert_no_node_forwarded(&nodes);
 
     victim.service().set_chaos(ChaosMode::None);
     for node in &mut nodes {
@@ -205,12 +215,9 @@ fn killed_node_mid_sweep_still_returns_every_cell_bit_identical() {
 #[test]
 fn stalled_node_is_hedged_to_a_replica() {
     let mut nodes = [spawn_node(), spawn_node(), spawn_node()];
-    // Short forward timeout: replicas forwarding a hedged cell to the
-    // stalled owner must give up quickly and simulate locally.
-    let peers = arm(
-        &[&nodes[0], &nodes[1], &nodes[2]],
-        Duration::from_millis(300),
-    );
+    // Default (30 s) forward timeout: a replica that forwarded a hedged
+    // cell to the stalled owner would outwait the whole sweep.
+    let peers = arm(&[&nodes[0], &nodes[1], &nodes[2]]);
 
     let cells = all_cells();
     let cluster = client_cluster(&peers);
@@ -236,11 +243,11 @@ fn stalled_node_is_hedged_to_a_replica() {
             "every cell carries a report"
         );
     }
-    let counters = client.cluster().counters();
     assert!(
-        counters.hedged_cells.load(Ordering::Relaxed) >= 1,
+        client.hedged_cells() >= 1,
         "stragglers behind the stall must be hedged"
     );
+    assert_no_node_forwarded(&nodes);
 
     // Release the stalled workers before asking the victim to drain.
     victim.service().set_chaos(ChaosMode::None);
@@ -255,8 +262,8 @@ fn prober_trips_the_breaker_on_a_dead_peer() {
     let dead = dead_addr();
     let cluster = Cluster::new(&ClusterConfig {
         peers: vec![live.addr().to_string(), dead.clone()],
+        self_addr: None,
         probe_interval: Some(Duration::from_millis(50)),
-        ..ClusterConfig::default()
     })
     .expect("a valid cluster");
     let dead_index = cluster

@@ -105,7 +105,6 @@ fn a_forward_writes_the_loop_guard_and_the_canonical_run_body() {
             peers: vec![node.addr().to_string(), owner.to_string()],
             self_addr: Some(node.addr().to_string()),
             probe_interval: None,
-            ..ClusterConfig::default()
         })
         .expect("a valid cluster"),
     );
@@ -180,12 +179,20 @@ fn the_client_rebuilds_run_bytes_from_sweep_lines_and_reruns_error_lines() {
 
     let run0 = "{\"benchmark\":\"nw\",\"technique\":\"Baseline\",\"scale\":0.05}";
     let run1 = "{\"benchmark\":\"nw\",\"technique\":\"GATES\",\"scale\":0.05}";
-    assert_eq!((cells[0].body.as_str(), cells[1].body.as_str()), (run0, run1));
+    assert_eq!(
+        (cells[0].body.as_str(), cells[1].body.as_str()),
+        (run0, run1)
+    );
     assert_eq!(
         recorded.join().expect("scripted peer"),
         [
-            post(peer, "/sweep", "", &format!("{{\"cells\":[{run0},{run1}]}}")),
-            post(peer, "/run", "", run1),
+            post(
+                peer,
+                "/sweep",
+                "X-Warped-Forwarded: 1\r\n",
+                &format!("{{\"cells\":[{run0},{run1}]}}")
+            ),
+            post(peer, "/run", "X-Warped-Forwarded: 1\r\n", run1),
         ]
     );
 }
@@ -198,15 +205,12 @@ fn the_metrics_cluster_block_is_pinned() {
             peers: vec!["127.0.0.1:19941".to_owned(), "127.0.0.1:19942".to_owned()],
             self_addr: Some("127.0.0.1:19941".to_owned()),
             probe_interval: None,
-            ..ClusterConfig::default()
         })
         .expect("a valid cluster"),
     );
     let counters = service.cluster().expect("armed").counters();
     counters.forwarded_requests.store(1, Ordering::Relaxed);
     counters.forward_failures.store(2, Ordering::Relaxed);
-    counters.retries.store(3, Ordering::Relaxed);
-    counters.hedged_cells.store(4, Ordering::Relaxed);
     counters.breaker_open.store(5, Ordering::Relaxed);
     counters.peer_unhealthy.store(6, Ordering::Relaxed);
 
@@ -233,12 +237,6 @@ fn the_metrics_cluster_block_is_pinned() {
          # HELP warped_serve_cluster_forward_failures_total \
          Peer forwards that failed and fell back to local simulation.\n\
          warped_serve_cluster_forward_failures_total 2\n\
-         # HELP warped_serve_cluster_retries_total \
-         Cell dispatches retried on another replica.\n\
-         warped_serve_cluster_retries_total 3\n\
-         # HELP warped_serve_cluster_hedged_cells_total \
-         Straggler sweep cells hedged to the next ring replica.\n\
-         warped_serve_cluster_hedged_cells_total 4\n\
          # HELP warped_serve_cluster_breaker_open_total \
          Circuit-breaker trips (transitions to the open state).\n\
          warped_serve_cluster_breaker_open_total 5\n\

@@ -652,34 +652,39 @@ fn closing_error(status: &str, extra: &str, kind: &str, message: &str) -> String
 fn framing_errors_answer_byte_exact_and_close() {
     let mut server = test_server();
     let addr = server.addr();
-    for (request, status, message, delta) in [
+    for (request, status, kind, message, delta) in [
         (
             "NOT HTTP\r\n\r\n",
             "400 Bad Request",
+            "bad_request",
             "malformed request line",
             (1, 0),
         ),
         (
             "GET /healthz HTTP/1.1\r\nno colon\r\n\r\n",
             "400 Bad Request",
+            "bad_request",
             "malformed header",
             (1, 0),
         ),
         (
             "POST /run HTTP/1.1\r\nContent-Length: 1048577\r\n\r\n",
             "413 Payload Too Large",
+            "bad_request",
             "body over 1048576 bytes",
             (1, 0),
         ),
         (
             "GET /healthz HTTP/2\r\n\r\n",
             "501 Not Implemented",
+            "not_implemented",
             "unsupported HTTP/2",
             (0, 1),
         ),
         (
             "POST /run HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n",
             "501 Not Implemented",
+            "not_implemented",
             "chunked request bodies are not supported",
             (0, 1),
         ),
@@ -691,7 +696,7 @@ fn framing_errors_answer_byte_exact_and_close() {
         );
         assert_eq!(
             raw_exchange(addr, request.as_bytes()),
-            closing_error(status, "", "bad_request", message),
+            closing_error(status, "", kind, message),
             "{request:?}"
         );
         let after = (

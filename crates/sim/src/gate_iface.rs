@@ -84,27 +84,6 @@ impl GatingReport {
         }
         out
     }
-
-    /// Adds every counter of `other` into this report, domain by domain.
-    ///
-    /// This is the one place cross-SM (and cross-run) gating aggregation
-    /// happens; a counter added to [`DomainGatingStats`] only needs a
-    /// line in [`DomainGatingStats::accumulate`] to flow through every
-    /// aggregation path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the reports cover different numbers of domains.
-    pub fn merge(&mut self, other: &GatingReport) {
-        assert_eq!(
-            self.domains.len(),
-            other.domains.len(),
-            "merging gating reports with different domain counts"
-        );
-        for (agg, d) in self.domains.iter_mut().zip(&other.domains) {
-            agg.accumulate(d);
-        }
-    }
 }
 
 impl DomainGatingStats {
@@ -378,38 +357,6 @@ mod tests {
         let s = r.sum_over(DomainId::domains_of(warped_isa::UnitType::Int));
         assert_eq!(s.gate_events, 5);
         assert_eq!(s.gated_cycles, 42);
-    }
-
-    #[test]
-    fn merge_adds_every_counter_per_domain() {
-        let mut a = GatingReport::new();
-        let mut b = GatingReport::new();
-        for (i, d) in a.domains.iter_mut().enumerate() {
-            *d = DomainGatingStats {
-                gate_events: i as u64,
-                wakeups: 1,
-                critical_wakeups: 2,
-                gated_cycles: 3,
-                compensated_cycles: 4,
-                uncompensated_cycles: 5,
-                wakeup_cycles: 6,
-                premature_wakeups: 7,
-                demand_blocked_cycles: 8,
-            };
-        }
-        b.domains.clone_from(&a.domains);
-        a.merge(&b);
-        for (i, d) in a.domains.iter().enumerate() {
-            assert_eq!(d.gate_events, 2 * i as u64);
-            assert_eq!(d.wakeups, 2);
-            assert_eq!(d.critical_wakeups, 4);
-            assert_eq!(d.gated_cycles, 6);
-            assert_eq!(d.compensated_cycles, 8);
-            assert_eq!(d.uncompensated_cycles, 10);
-            assert_eq!(d.wakeup_cycles, 12);
-            assert_eq!(d.premature_wakeups, 14);
-            assert_eq!(d.demand_blocked_cycles, 16);
-        }
     }
 
     #[test]

@@ -1,10 +1,5 @@
-//! Multi-SM simulation driver.
+//! A kernel launch: the program and how its warps arrive at the SM.
 
-use crate::config::SmConfig;
-use crate::gate_iface::{GatingReport, PowerGating};
-use crate::sched::WarpScheduler;
-use crate::sm::{Sm, SmOutcome};
-use crate::stats::SimStats;
 use warped_isa::Kernel;
 
 /// A kernel launch: the program plus the number of warps in the grid
@@ -136,201 +131,15 @@ impl LaunchConfig {
     }
 }
 
-/// Aggregated outcome of a multi-SM run.
-#[derive(Debug)]
-pub struct GpuOutcome {
-    /// Statistics aggregated over all SMs (`cycles` is the max across
-    /// SMs; counters are summed).
-    pub stats: SimStats,
-    /// Gating counters summed over all SMs.
-    pub gating: GatingReport,
-    /// Whether any SM timed out.
-    pub timed_out: bool,
-    /// Per-SM outcomes, in SM order.
-    pub per_sm: Vec<SmOutcome>,
-}
-
-/// A multi-SM GPU driver.
-///
-/// SMs do not share resources in this model (each has its own memory
-/// channel), so they are simulated independently with decorrelated memory
-/// seeds and their statistics aggregated. The paper reports per-SM
-/// normalized quantities, which are insensitive to the SM count; the
-/// default experiment setup therefore uses a single SM, and this driver
-/// exists to validate that choice and to scale chip-level estimates.
-///
-/// Because SMs share nothing, the per-SM simulations fan out across a
-/// [`parallel::par_map`](crate::parallel::par_map) worker pool. Each
-/// SM's memory seed is derived from its index — never from which thread
-/// runs it — so the outcome is identical at every worker count.
-pub struct Gpu {
-    config: SmConfig,
-    sm_count: usize,
-    jobs: Option<usize>,
-}
-
-impl std::fmt::Debug for Gpu {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Gpu")
-            .field("sm_count", &self.sm_count)
-            .field("jobs", &self.jobs)
-            .field("config", &self.config)
-            .finish()
-    }
-}
-
-impl Gpu {
-    /// Creates a driver for `sm_count` SMs, each configured by `config`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sm_count` is zero.
-    #[must_use]
-    pub fn new(config: SmConfig, sm_count: usize) -> Self {
-        assert!(sm_count > 0, "need at least one SM");
-        config.validate();
-        Gpu {
-            config,
-            sm_count,
-            jobs: None,
-        }
-    }
-
-    /// The GTX480 SM count used by the paper.
-    pub const GTX480_SM_COUNT: usize = 15;
-
-    /// Pins the worker count for [`run`](Gpu::run). `1` forces the
-    /// serial path; the default follows
-    /// [`parallel::worker_count`](crate::parallel::worker_count)
-    /// (`WARPED_JOBS` env override, else available parallelism).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `jobs` is zero.
-    #[must_use]
-    pub fn with_jobs(mut self, jobs: usize) -> Self {
-        assert!(jobs > 0, "need at least one worker");
-        self.jobs = Some(jobs);
-        self
-    }
-
-    /// Runs the launch on every SM, constructing fresh policies per SM
-    /// via the provided factories.
-    ///
-    /// The factories are called once per SM, possibly from worker
-    /// threads (hence `Fn + Sync`); the policy objects they build never
-    /// cross threads.
-    pub fn run(
-        &self,
-        launch: &LaunchConfig,
-        make_scheduler: impl Fn() -> Box<dyn WarpScheduler> + Sync,
-        make_gating: impl Fn() -> Box<dyn PowerGating> + Sync,
-    ) -> GpuOutcome {
-        let workers = self.jobs.unwrap_or_else(crate::parallel::worker_count);
-        let per_sm = crate::parallel::par_map(self.sm_count, workers, |sm_idx| {
-            let mut cfg = self.config.clone();
-            // Decorrelate the memory hit/miss stream across SMs.
-            cfg.memory.seed = cfg.memory.seed.wrapping_add(0x9e37 * sm_idx as u64);
-            let sm = Sm::new(cfg, launch.clone(), make_scheduler(), make_gating());
-            sm.run()
-        });
-        let mut stats = SimStats::new();
-        let mut gating = GatingReport::new();
-        let mut timed_out = false;
-        for o in &per_sm {
-            stats.merge(&o.stats);
-            gating.merge(&o.gating);
-            timed_out |= o.timed_out;
-        }
-        GpuOutcome {
-            stats,
-            gating,
-            timed_out,
-            per_sm,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gate_iface::AlwaysOn;
-    use crate::sched::TwoLevelScheduler;
     use warped_isa::KernelBuilder;
-
-    fn launch() -> LaunchConfig {
-        let k = KernelBuilder::new("g")
-            .begin_loop(20)
-            .iadd(1, 0, 0)
-            .load_global(2)
-            .fadd(3, 2, 2)
-            .end_loop()
-            .build();
-        LaunchConfig::new(k, 8)
-    }
-
-    #[test]
-    fn multi_sm_aggregates_instruction_counts() {
-        let gpu = Gpu::new(SmConfig::small_for_tests(), 3);
-        let out = gpu.run(
-            &launch(),
-            || Box::new(TwoLevelScheduler::new()),
-            || Box::new(AlwaysOn::new()),
-        );
-        assert!(!out.timed_out);
-        assert_eq!(out.per_sm.len(), 3);
-        let single: u64 = out.per_sm[0].stats.instructions();
-        assert_eq!(out.stats.instructions(), single * 3);
-    }
-
-    #[test]
-    fn sm_seeds_differ_so_cycle_counts_may_vary() {
-        let gpu = Gpu::new(SmConfig::small_for_tests(), 2);
-        let out = gpu.run(
-            &launch(),
-            || Box::new(TwoLevelScheduler::new()),
-            || Box::new(AlwaysOn::new()),
-        );
-        // Aggregate cycles is the max of the two.
-        let c0 = out.per_sm[0].stats.cycles;
-        let c1 = out.per_sm[1].stats.cycles;
-        assert_eq!(out.stats.cycles, c0.max(c1));
-    }
-
-    #[test]
-    fn parallel_run_is_identical_to_serial() {
-        let mk = || Gpu::new(SmConfig::small_for_tests(), 4);
-        let serial = mk().with_jobs(1).run(
-            &launch(),
-            || Box::new(TwoLevelScheduler::new()),
-            || Box::new(AlwaysOn::new()),
-        );
-        let parallel = mk().with_jobs(4).run(
-            &launch(),
-            || Box::new(TwoLevelScheduler::new()),
-            || Box::new(AlwaysOn::new()),
-        );
-        assert_eq!(serial.stats.cycles, parallel.stats.cycles);
-        assert_eq!(serial.stats.instructions(), parallel.stats.instructions());
-        assert_eq!(serial.gating, parallel.gating);
-        assert_eq!(serial.per_sm.len(), parallel.per_sm.len());
-        for (s, p) in serial.per_sm.iter().zip(&parallel.per_sm) {
-            assert_eq!(s.stats.cycles, p.stats.cycles);
-            assert_eq!(s.stats.instructions(), p.stats.instructions());
-            assert_eq!(s.gating, p.gating);
-        }
-    }
 
     #[test]
     #[should_panic(expected = "at least one warp")]
     fn zero_warp_launch_rejected() {
         let k = KernelBuilder::new("k").iadd(1, 0, 0).build();
         let _ = LaunchConfig::new(k, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one SM")]
-    fn zero_sm_gpu_rejected() {
-        let _ = Gpu::new(SmConfig::small_for_tests(), 0);
     }
 }

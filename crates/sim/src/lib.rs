@@ -84,7 +84,7 @@ pub use domain::{
 pub use gate_iface::{
     AlwaysOn, CycleObservation, DomainGatingStats, GateTransition, GatingReport, PowerGating,
 };
-pub use gpu::{Gpu, GpuOutcome, LaunchConfig};
+pub use gpu::LaunchConfig;
 pub use mem::{LoadIssue, MemorySubsystem};
 pub use probe::{Event, Recorder, RecorderConfig, Stamped, TelemetryChunk, TelemetryLog};
 pub use sanitize::{GatingInvariants, Sanitizer};

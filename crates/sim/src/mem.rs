@@ -610,9 +610,9 @@ mod tests {
 
     #[test]
     fn reset_restores_cold_state_between_runs() {
-        // Satellite: dram_free_at and hit/miss counters must not leak
-        // across `Gpu::run` repetitions. Replay one stream twice with a
-        // reset in between; latencies and stats must be identical.
+        // dram_free_at and hit/miss counters must not leak across
+        // runs. Replay one stream twice with a reset in between;
+        // latencies and stats must be identical.
         let run = |mem: &mut MemorySubsystem| -> (Vec<u32>, MemoryStats) {
             let mut lats = Vec::new();
             for i in 0..40u64 {

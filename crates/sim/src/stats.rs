@@ -245,7 +245,7 @@ impl MemoryStats {
         }
     }
 
-    /// Accumulates another run's memory counters (multi-SM aggregation).
+    /// Accumulates another run's memory counters (summing runs).
     pub fn merge(&mut self, other: &MemoryStats) {
         self.hierarchy |= other.hierarchy;
         self.accesses += other.accesses;
@@ -409,29 +409,6 @@ impl SimStats {
             self.instructions() as f64 / self.cycles as f64
         }
     }
-
-    /// Accumulates another run's statistics (for multi-SM aggregation).
-    pub fn merge(&mut self, other: &SimStats) {
-        self.cycles = self.cycles.max(other.cycles);
-        for (a, b) in self.issued_by_type.iter_mut().zip(other.issued_by_type) {
-            *a += b;
-        }
-        for (a, b) in self.units.iter_mut().zip(&other.units) {
-            a.busy_cycles += b.busy_cycles;
-            a.issued += b.issued;
-            a.idle_histogram.merge(&b.idle_histogram);
-        }
-        self.active_warp_cycles += other.active_warp_cycles;
-        self.active_warps_max = self.active_warps_max.max(other.active_warps_max);
-        self.dual_issue_cycles += other.dual_issue_cycles;
-        self.idle_issue_cycles += other.idle_issue_cycles;
-        self.warps_completed += other.warps_completed;
-        self.fast_forward_spans += other.fast_forward_spans;
-        self.fast_forwarded_cycles += other.fast_forwarded_cycles;
-        self.events_dispatched += other.events_dispatched;
-        self.heap_peak = self.heap_peak.max(other.heap_peak);
-        self.mem.merge(&other.mem);
-    }
 }
 
 #[cfg(test)]
@@ -524,20 +501,5 @@ mod tests {
         s.cycles = 4;
         s.active_warp_cycles = 40;
         assert!((s.avg_active_warps() - 10.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn merge_takes_max_cycles_and_sums_counters() {
-        let mut a = SimStats::new();
-        a.cycles = 10;
-        a.issued_by_type = [1, 0, 0, 0];
-        let mut b = SimStats::new();
-        b.cycles = 20;
-        b.issued_by_type = [2, 0, 0, 0];
-        b.active_warps_max = 7;
-        a.merge(&b);
-        assert_eq!(a.cycles, 20);
-        assert_eq!(a.issued(UnitType::Int), 3);
-        assert_eq!(a.active_warps_max, 7);
     }
 }

@@ -512,6 +512,27 @@ test "${retries:-0}" -ge 1 || {
     echo "verify: FAIL — the node kill left no retry trace in the counters" >&2
     exit 1
 }
+# The client routes every cell itself and marks each request, so a
+# survivor serves whatever lands on it and never forwards — not even
+# the dead owner's cells retried onto it.
+for i in 1 2; do
+    python3 - "${cports[$i]}" <<'PY'
+import sys, urllib.request
+url = f"http://127.0.0.1:{sys.argv[1]}/metrics"
+page = urllib.request.urlopen(url, timeout=10).read().decode()
+counters = {
+    line.split()[0]: int(line.split()[1])
+    for line in page.splitlines()
+    if line and not line.startswith("#")
+}
+for name in (
+    "warped_serve_cluster_forwarded_requests_total",
+    "warped_serve_cluster_forward_failures_total",
+):
+    assert counters[name] == 0, f"survivor {sys.argv[1]}: {name} = {counters[name]}"
+print(f"survivor {sys.argv[1]}: no forwards, no forward failures")
+PY
+done
 for i in 1 2; do
     python3 -c "import sys, urllib.request; urllib.request.urlopen(
         urllib.request.Request(f'http://127.0.0.1:{sys.argv[1]}/shutdown', data=b''),

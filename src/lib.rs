@@ -40,8 +40,8 @@ pub mod prelude {
         Instruction, InstructionMix, Kernel, KernelBuilder, Opcode, Reg, UnitType,
     };
     pub use warped_sim::{
-        AlwaysOn, DomainId, Gpu, GpuOutcome, LaunchConfig, PowerGating, Sm, SmConfig, SmOutcome,
-        TwoLevelScheduler, WarpScheduler,
+        AlwaysOn, DomainId, LaunchConfig, PowerGating, Sm, SmConfig, SmOutcome, TwoLevelScheduler,
+        WarpScheduler,
     };
     pub use warped_workloads::{Benchmark, BenchmarkSpec};
 }

@@ -3,8 +3,6 @@
 //! serial path.
 
 use warped_gates_repro::gates::{runner, Experiment, Technique};
-use warped_gates_repro::gating::GatingParams;
-use warped_gates_repro::prelude::*;
 use warped_gates_repro::workloads::Benchmark;
 
 #[test]
@@ -34,31 +32,5 @@ fn run_grid_parallel_matches_serial_exactly() {
             "{} / {technique}: gating counters diverged across worker counts",
             spec.name
         );
-    }
-}
-
-#[test]
-fn gpu_run_parallel_matches_serial_at_four_sms() {
-    let spec = Benchmark::Hotspot.spec().scaled(0.05);
-    let technique = Technique::WarpedGates;
-    let params = GatingParams::default();
-    let run = |jobs: usize| {
-        let gpu = Gpu::new(spec.sm_config(), 4).with_jobs(jobs);
-        gpu.run(
-            &spec.launch(),
-            || technique.make_scheduler(),
-            || technique.make_gating(params),
-        )
-    };
-    let serial = run(1);
-    let parallel = run(4);
-    assert_eq!(serial.stats.cycles, parallel.stats.cycles);
-    assert_eq!(serial.stats.issued_by_type, parallel.stats.issued_by_type);
-    assert_eq!(serial.gating, parallel.gating);
-    assert_eq!(serial.timed_out, parallel.timed_out);
-    assert_eq!(serial.per_sm.len(), parallel.per_sm.len());
-    for (s, p) in serial.per_sm.iter().zip(&parallel.per_sm) {
-        assert_eq!(s.stats.cycles, p.stats.cycles);
-        assert_eq!(s.gating, p.gating);
     }
 }
