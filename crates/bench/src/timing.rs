@@ -5,7 +5,7 @@
 //! slower", so a warmup + median-of-samples loop over
 //! [`std::time::Instant`] is enough and keeps the workspace
 //! dependency-free. Each `[[bench]]` target is a plain `fn main()` that
-//! calls [`bench`] per case (run them with `cargo bench`).
+//! calls [`bench()`] per case (run them with `cargo bench`).
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -119,8 +119,8 @@ pub fn bench<T>(label: &str, mut f: impl FnMut() -> T) -> PerIter {
 /// Inputs built per timed batch by [`bench_batched`].
 const BATCH: usize = 64;
 
-/// Like [`bench`], but times only `routine`: each input comes from
-/// `setup`, built in batches of [`BATCH`] outside the timed region, and
+/// Like [`bench()`], but times only `routine`: each input comes from
+/// `setup`, built in batches of `BATCH` (64) outside the timed region, and
 /// `routine` runs once per input. Use it when building the input costs
 /// as much as the work being measured.
 pub fn bench_batched<S, T>(

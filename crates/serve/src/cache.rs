@@ -20,18 +20,6 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
-/// How a lookup was satisfied.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Outcome {
-    /// The entry was ready; no work ran.
-    Hit,
-    /// Another request was already computing it; this one waited.
-    /// Counts as a hit — it cost no simulation.
-    Coalesced,
-    /// This request computed the entry.
-    Miss,
-}
-
 struct Flight<E> {
     done: Mutex<Option<Result<Arc<Vec<u8>>, E>>>,
     cv: Condvar,
@@ -134,7 +122,9 @@ impl<E> ResultCache<E> {
     ///
     /// `compute` runs *without* the shard lock held, so long
     /// simulations never block unrelated lookups. Concurrent callers
-    /// with the same key coalesce onto one computation.
+    /// with the same key coalesce onto one computation (a waiter counts
+    /// as a hit). Only `compute` knows where fresh bytes came from, so
+    /// any side effect of a miss belongs inside it.
     ///
     /// # Errors
     ///
@@ -143,8 +133,8 @@ impl<E> ResultCache<E> {
     pub fn get_or_compute(
         &self,
         key: u64,
-        compute: impl FnOnce() -> Result<Vec<u8>, E>,
-    ) -> (Result<Arc<Vec<u8>>, E>, Outcome)
+        compute: impl FnOnce() -> Result<Arc<Vec<u8>>, E>,
+    ) -> Result<Arc<Vec<u8>>, E>
     where
         E: Clone,
     {
@@ -154,7 +144,7 @@ impl<E> ResultCache<E> {
                 Some(Entry::Ready { bytes, last_used }) => {
                     *last_used = self.tick.fetch_add(1, Ordering::Relaxed);
                     self.hits.fetch_add(1, Ordering::Relaxed);
-                    return (Ok(Arc::clone(bytes)), Outcome::Hit);
+                    return Ok(Arc::clone(bytes));
                 }
                 Some(Entry::InFlight(flight)) => Some(Arc::clone(flight)),
                 None => {
@@ -176,14 +166,13 @@ impl<E> ResultCache<E> {
             while done.is_none() {
                 done = flight.cv.wait(done).expect("flight poisoned");
             }
-            let result = done.clone().expect("checked above");
             self.hits.fetch_add(1, Ordering::Relaxed);
-            return (result, Outcome::Coalesced);
+            return done.clone().expect("checked above");
         }
 
         // This caller owns the flight.
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let result = compute().map(Arc::new);
+        let result = compute();
         {
             let mut shard = self.lock(key);
             let Some(Entry::InFlight(flight)) = shard.entries.remove(&key) else {
@@ -204,7 +193,7 @@ impl<E> ResultCache<E> {
             *done = Some(result.clone());
             flight.cv.notify_all();
         }
-        (result, Outcome::Miss)
+        result
     }
 
     /// Evicts least-recently-used ready entries until the shard fits
@@ -236,13 +225,16 @@ mod tests {
     use std::sync::atomic::AtomicUsize;
     use std::sync::Barrier;
 
+    fn bytes(b: &[u8]) -> Result<Arc<Vec<u8>>, String> {
+        Ok(Arc::new(b.to_vec()))
+    }
+
     #[test]
     fn hit_after_miss_returns_the_same_bytes() {
         let cache: ResultCache<String> = ResultCache::new(4, 1 << 20);
-        let (a, o1) = cache.get_or_compute(7, || Ok(b"abc".to_vec()));
-        let (b, o2) = cache.get_or_compute(7, || panic!("must not recompute"));
-        assert_eq!(o1, Outcome::Miss);
-        assert_eq!(o2, Outcome::Hit);
+        let a = cache.get_or_compute(7, || bytes(b"abc"));
+        assert_eq!((cache.hits(), cache.misses()), (0, 1));
+        let b = cache.get_or_compute(7, || panic!("must not recompute"));
         assert!(Arc::ptr_eq(&a.unwrap(), &b.unwrap()));
         assert_eq!((cache.hits(), cache.misses()), (1, 1));
     }
@@ -261,11 +253,11 @@ mod tests {
                 );
                 std::thread::spawn(move || {
                     barrier.wait();
-                    let (result, _) = cache.get_or_compute(42, || {
+                    let result = cache.get_or_compute(42, || {
                         computed.fetch_add(1, Ordering::SeqCst);
                         // Widen the race window so waiters really wait.
                         std::thread::sleep(std::time::Duration::from_millis(30));
-                        Ok(b"payload".to_vec())
+                        bytes(b"payload")
                     });
                     result.unwrap()
                 })
@@ -285,12 +277,12 @@ mod tests {
     #[test]
     fn errors_are_not_cached_and_propagate_to_waiters() {
         let cache: ResultCache<String> = ResultCache::new(2, 1 << 20);
-        let (r, o) = cache.get_or_compute(9, || Err("boom".to_owned()));
-        assert_eq!(o, Outcome::Miss);
+        let r = cache.get_or_compute(9, || Err("boom".to_owned()));
         assert_eq!(r.unwrap_err(), "boom");
+        assert_eq!(cache.misses(), 1);
         // The next lookup recomputes (and can succeed).
-        let (r2, o2) = cache.get_or_compute(9, || Ok(b"ok".to_vec()));
-        assert_eq!(o2, Outcome::Miss);
+        let r2 = cache.get_or_compute(9, || bytes(b"ok"));
+        assert_eq!(cache.misses(), 2);
         assert_eq!(*r2.unwrap(), b"ok".to_vec());
     }
 
@@ -298,23 +290,22 @@ mod tests {
     fn lru_eviction_respects_the_byte_budget() {
         let cache: ResultCache<String> = ResultCache::new(1, 100);
         for key in 0..10u64 {
-            let (r, _) = cache.get_or_compute(key, || Ok(vec![0u8; 30]));
-            r.unwrap();
+            cache.get_or_compute(key, || bytes(&[0u8; 30])).unwrap();
         }
         assert!(cache.bytes() <= 100, "budget respected: {}", cache.bytes());
         assert!(cache.evictions() >= 6);
         // Recently used keys survive; the oldest were evicted.
-        let (_, outcome) = cache.get_or_compute(9, || Ok(vec![1u8; 30]));
-        assert_eq!(outcome, Outcome::Hit);
-        let (_, outcome) = cache.get_or_compute(0, || Ok(vec![1u8; 30]));
-        assert_eq!(outcome, Outcome::Miss, "oldest entry was evicted");
+        let _ = cache.get_or_compute(9, || bytes(&[1u8; 30]));
+        assert_eq!((cache.hits(), cache.misses()), (1, 10));
+        let _ = cache.get_or_compute(0, || bytes(&[1u8; 30]));
+        assert_eq!(cache.misses(), 11, "oldest entry was evicted");
     }
 
     #[test]
     fn different_keys_do_not_coalesce() {
         let cache: ResultCache<String> = ResultCache::new(8, 1 << 20);
-        let (a, _) = cache.get_or_compute(1, || Ok(b"a".to_vec()));
-        let (b, _) = cache.get_or_compute(2, || Ok(b"b".to_vec()));
+        let a = cache.get_or_compute(1, || bytes(b"a"));
+        let b = cache.get_or_compute(2, || bytes(b"b"));
         assert_ne!(*a.unwrap(), *b.unwrap());
         assert_eq!(cache.misses(), 2);
     }

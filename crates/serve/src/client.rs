@@ -5,14 +5,18 @@
 //! `Connection: close`), retries exactly once on a stale pooled
 //! connection (the server may have reaped it between requests), and
 //! decodes both fixed-length and chunked response bodies — including
-//! incremental JSONL streaming for `/sweep`. The free functions
-//! ([`get`], [`post_json`]) remain for one-shot exchanges.
+//! incremental JSONL streaming for `/sweep`. A response is read under
+//! the same caps as a request: [`MAX_LINE`](crate::http::MAX_LINE) per
+//! head line and [`MAX_RESPONSE_BODY`] per body, so a misbehaving peer
+//! gets a typed error, not an allocation of whatever it declares. The
+//! free functions ([`get`], [`post_json`]) remain for one-shot
+//! exchanges.
 
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
-use crate::http::{read_chunked_stream, HttpError};
+use crate::http::{read_chunked_stream, read_headers, read_line, HttpError, MAX_RESPONSE_BODY};
 
 /// A parsed response.
 #[derive(Debug, Clone)]
@@ -45,7 +49,7 @@ impl Response {
 fn to_io(e: HttpError) -> io::Error {
     match e {
         HttpError::Io(e) => e,
-        HttpError::Bad(_, reason) => io::Error::new(io::ErrorKind::InvalidData, reason),
+        HttpError::Bad(_, reason) => invalid(reason),
     }
 }
 
@@ -349,37 +353,18 @@ impl Client {
 }
 
 /// Reads the status line and headers of one response.
-fn read_head(reader: &mut BufReader<TcpStream>) -> io::Result<(u16, Vec<(String, String)>)> {
-    let mut line = String::new();
-    if reader.read_line(&mut line)? == 0 {
-        return Err(io::ErrorKind::UnexpectedEof.into());
-    }
+fn read_head(reader: &mut impl BufRead) -> io::Result<(u16, Vec<(String, String)>)> {
+    let line = read_line(reader).map_err(to_io)?;
     let status: u16 = line
         .split(' ')
         .nth(1)
         .and_then(|s| s.parse().ok())
-        .ok_or_else(|| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("malformed status line {line:?}"),
-            )
-        })?;
+        .ok_or_else(|| invalid(format!("malformed status line {line:?}")))?;
+    Ok((status, read_headers(reader).map_err(to_io)?))
+}
 
-    let mut headers = Vec::new();
-    loop {
-        line.clear();
-        if reader.read_line(&mut line)? == 0 {
-            return Err(io::ErrorKind::UnexpectedEof.into());
-        }
-        let trimmed = line.trim_end_matches(['\r', '\n']);
-        if trimmed.is_empty() {
-            break;
-        }
-        if let Some((name, value)) = trimmed.split_once(':') {
-            headers.push((name.trim().to_ascii_lowercase(), value.trim().to_owned()));
-        }
-    }
-    Ok((status, headers))
+fn invalid(reason: String) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, reason)
 }
 
 fn is_chunked(headers: &[(String, String)]) -> bool {
@@ -388,30 +373,34 @@ fn is_chunked(headers: &[(String, String)]) -> bool {
         .any(|(n, v)| n == "transfer-encoding" && v.eq_ignore_ascii_case("chunked"))
 }
 
-/// Reads a response body delimited per its headers. A body with
-/// neither `Transfer-Encoding: chunked` nor `Content-Length` reads to
-/// EOF — only valid on a closing connection.
-fn read_body(
-    headers: &[(String, String)],
-    reader: &mut BufReader<TcpStream>,
-) -> io::Result<Vec<u8>> {
+/// Reads a response body delimited per its headers, at most
+/// [`MAX_RESPONSE_BODY`] bytes. A body with neither
+/// `Transfer-Encoding: chunked` nor `Content-Length` reads to EOF —
+/// only valid on a closing connection.
+fn read_body(headers: &[(String, String)], reader: &mut impl BufRead) -> io::Result<Vec<u8>> {
+    let too_large = || invalid(format!("response body over {MAX_RESPONSE_BODY} bytes"));
+    let mut body = Vec::new();
     if is_chunked(headers) {
-        let mut body = Vec::new();
         read_chunked_stream(reader, |c| body.extend_from_slice(c)).map_err(to_io)?;
-        Ok(body)
     } else if let Some(len) = headers
         .iter()
         .find(|(n, _)| n == "content-length")
         .and_then(|(_, v)| v.parse::<usize>().ok())
     {
-        let mut body = vec![0u8; len];
-        io::Read::read_exact(reader, &mut body)?;
-        Ok(body)
+        if len > MAX_RESPONSE_BODY {
+            return Err(too_large());
+        }
+        body.resize(len, 0);
+        reader.read_exact(&mut body)?;
     } else {
-        let mut body = Vec::new();
-        io::Read::read_to_end(reader, &mut body)?;
-        Ok(body)
+        reader
+            .take(MAX_RESPONSE_BODY as u64 + 1)
+            .read_to_end(&mut body)?;
+        if body.len() > MAX_RESPONSE_BODY {
+            return Err(too_large());
+        }
     }
+    Ok(body)
 }
 
 /// One-shot `GET path` over a fresh closing connection.
@@ -491,5 +480,43 @@ mod tests {
              X-Warped-Forwarded: 1\r\n\
              Content-Type: application/json\r\nContent-Length: 2\r\n\r\n{}"
         );
+    }
+
+    /// A one-connection peer that answers any request with `response`
+    /// and closes.
+    fn scripted_peer(response: Vec<u8>) -> (SocketAddr, std::thread::JoinHandle<()>) {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("bound address");
+        let peer = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().expect("accept");
+            let mut reader = BufReader::new(stream);
+            let _ = crate::http::read_request(&mut reader);
+            // The client may hang up mid-answer: that is the point.
+            let _ = reader.get_mut().write_all(&response);
+        });
+        (addr, peer)
+    }
+
+    fn refused(response: &[u8]) -> io::Error {
+        let (addr, peer) = scripted_peer(response.to_vec());
+        let err = get(addr, "/run").expect_err("the answer is refused");
+        peer.join().expect("peer thread");
+        err
+    }
+
+    #[test]
+    fn a_huge_content_length_is_a_typed_error_not_an_allocation() {
+        let err = refused(b"HTTP/1.1 200 OK\r\nContent-Length: 1152921504606846976\r\n\r\n");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        assert!(err.to_string().contains("response body over"), "{err}");
+    }
+
+    #[test]
+    fn an_over_long_status_line_is_a_typed_error() {
+        let mut line = b"HTTP/1.1 200 ".to_vec();
+        line.resize(crate::http::MAX_LINE * 4, b'A');
+        let err = refused(&line);
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        assert!(err.to_string().contains("header line too long"), "{err}");
     }
 }

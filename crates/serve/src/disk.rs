@@ -49,14 +49,10 @@ const OVERHEAD: usize = 4 + 8 + 8 + 8;
 const DIGEST_TAG: u64 = 0x6469_736b_6361_6368; // "diskcach"
 
 fn digest(fingerprint: u64, payload: &[u8]) -> u64 {
-    let mut h = ConfigHasher::new(DIGEST_TAG);
-    h.word(fingerprint).word(payload.len() as u64);
-    for chunk in payload.chunks(8) {
-        let mut w = [0u8; 8];
-        w[..chunk.len()].copy_from_slice(chunk);
-        h.word(u64::from_le_bytes(w));
-    }
-    h.finish()
+    ConfigHasher::new(DIGEST_TAG)
+        .word(fingerprint)
+        .bytes(payload)
+        .finish()
 }
 
 struct Tracked {
@@ -285,7 +281,7 @@ impl DiskCache {
         {
             let mut index = self.shared.lock();
             if index.entries.contains_key(&fingerprint) {
-                return; // already persisted (or queued and indexed)
+                return; // already on disk (a queued write is indexed only once written)
             }
             index.pending += 1;
         }
@@ -563,6 +559,38 @@ mod tests {
         assert!(cache.is_empty());
         assert!(!dir.join("0000000000000007.tmp").exists());
         assert!(!dir.join("not-an-entry").exists());
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    /// One entry as the format's first writer framed it: fingerprint
+    /// `0x0123_4567_89ab_cdef`, the payload below, and its digest.
+    /// Entries already on disk must keep reading back, so neither the
+    /// framing nor the digest fold may change.
+    const PINNED_ENTRY: &str = "57474331efcdab896745230122000000000000007b2262656e63686d61726b\
+                                223a226e77222c226379636c6573223a31323334357d0a8ed7e0c0f359811d";
+    const PINNED_PAYLOAD: &[u8] = b"{\"benchmark\":\"nw\",\"cycles\":12345}\n";
+
+    #[test]
+    fn a_pinned_entry_reads_back_and_is_written_identically() {
+        let fingerprint = 0x0123_4567_89ab_cdef;
+        let pinned: Vec<u8> = (0..PINNED_ENTRY.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&PINNED_ENTRY[i..i + 2], 16).unwrap())
+            .collect();
+        let root = scratch("pinned");
+        let dir = root.join(format!("v{FINGERPRINT_VERSION}"));
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(format!("{fingerprint:016x}.bin"));
+        fs::write(&path, &pinned).unwrap();
+        {
+            let cache = DiskCache::open(&root, 1 << 20).unwrap();
+            assert_eq!(cache.get(fingerprint).as_deref(), Some(PINNED_PAYLOAD));
+        }
+        fs::remove_file(&path).unwrap();
+        let cache = DiskCache::open(&root, 1 << 20).unwrap();
+        cache.put(fingerprint, Arc::new(PINNED_PAYLOAD.to_vec()));
+        cache.flush();
+        assert_eq!(fs::read(&path).unwrap(), pinned);
         let _ = fs::remove_dir_all(&root);
     }
 }

@@ -19,6 +19,9 @@ pub const MAX_LINE: usize = 8 * 1024;
 pub const MAX_HEADERS: usize = 64;
 /// Upper bound on a request body.
 pub const MAX_BODY: usize = 1024 * 1024;
+/// Upper bound on a response body the client reads, however it is
+/// delimited (chunked, `Content-Length`, or to EOF).
+pub const MAX_RESPONSE_BODY: usize = 64 * 1024 * 1024;
 
 /// A parsed request.
 #[derive(Debug, Clone)]
@@ -91,32 +94,55 @@ fn bad(reason: impl Into<String>) -> HttpError {
 }
 
 /// Reads one CRLF- (or bare-LF-) terminated line, capped at
-/// [`MAX_LINE`] bytes.
-fn read_line(r: &mut impl BufRead) -> Result<String, HttpError> {
+/// [`MAX_LINE`] bytes. It scans the reader's buffer, so a line costs
+/// one copy rather than one `read` call per byte.
+pub(crate) fn read_line(r: &mut impl BufRead) -> Result<String, HttpError> {
     let mut line = Vec::new();
-    let mut byte = [0u8; 1];
     loop {
-        match r.read(&mut byte)? {
-            0 => {
-                if line.is_empty() {
-                    // Clean EOF before any byte: the peer just closed.
-                    return Err(HttpError::Io(io::ErrorKind::UnexpectedEof.into()));
-                }
-                return Err(bad("truncated line"));
+        let buf = r.fill_buf()?;
+        if buf.is_empty() {
+            if line.is_empty() {
+                // Clean EOF before any byte: the peer just closed.
+                return Err(HttpError::Io(io::ErrorKind::UnexpectedEof.into()));
             }
-            _ => {
-                if byte[0] == b'\n' {
-                    if line.last() == Some(&b'\r') {
-                        line.pop();
-                    }
-                    return String::from_utf8(line).map_err(|_| bad("non-UTF-8 header line"));
-                }
-                line.push(byte[0]);
-                if line.len() > MAX_LINE {
-                    return Err(bad("header line too long"));
-                }
-            }
+            return Err(bad("truncated line"));
         }
+        let newline = buf.iter().position(|b| *b == b'\n');
+        let take = newline.map_or(buf.len(), |i| i + 1);
+        line.extend_from_slice(&buf[..take]);
+        r.consume(take);
+        if newline.is_some() {
+            line.pop();
+        }
+        if line.len() > MAX_LINE {
+            return Err(bad("header line too long"));
+        }
+        if newline.is_some() {
+            if line.last() == Some(&b'\r') {
+                line.pop();
+            }
+            return String::from_utf8(line).map_err(|_| bad("non-UTF-8 header line"));
+        }
+    }
+}
+
+/// Reads a header block up to its blank line, capped at
+/// [`MAX_HEADERS`]; names are lower-cased. Requests and responses
+/// share it.
+pub(crate) fn read_headers(r: &mut impl BufRead) -> Result<Vec<(String, String)>, HttpError> {
+    let mut headers = Vec::new();
+    loop {
+        let line = read_line(r)?;
+        if line.is_empty() {
+            return Ok(headers);
+        }
+        if headers.len() >= MAX_HEADERS {
+            return Err(bad("too many headers"));
+        }
+        let (name, value) = line
+            .split_once(':')
+            .ok_or_else(|| bad("malformed header"))?;
+        headers.push((name.trim().to_ascii_lowercase(), value.trim().to_owned()));
     }
 }
 
@@ -194,21 +220,7 @@ pub fn read_request(r: &mut impl BufRead) -> Result<Option<Request>, HttpError> 
         })
         .collect();
 
-    let mut headers = Vec::new();
-    loop {
-        let line = read_line(r)?;
-        if line.is_empty() {
-            break;
-        }
-        if headers.len() >= MAX_HEADERS {
-            return Err(bad("too many headers"));
-        }
-        let (name, value) = line
-            .split_once(':')
-            .ok_or_else(|| bad("malformed header"))?;
-        headers.push((name.trim().to_ascii_lowercase(), value.trim().to_owned()));
-    }
-
+    let headers = read_headers(r)?;
     let request = Request {
         method: method.to_ascii_uppercase(),
         path: path.to_owned(),
@@ -423,7 +435,7 @@ pub fn read_chunked_stream(
             }
         }
         total = total.saturating_add(size);
-        if total > 64 * 1024 * 1024 {
+        if total > MAX_RESPONSE_BODY {
             return Err(bad("chunked body too large"));
         }
         chunk.resize(size, 0);
@@ -435,17 +447,6 @@ pub fn read_chunked_stream(
         }
         sink(&chunk);
     }
-}
-
-/// Decodes a complete chunked response body (client side).
-///
-/// # Errors
-///
-/// Returns an error on transport trouble or malformed chunk framing.
-pub fn read_chunked_body(r: &mut impl BufRead) -> Result<Vec<u8>, HttpError> {
-    let mut body = Vec::new();
-    read_chunked_stream(r, |chunk| body.extend_from_slice(chunk))?;
-    Ok(body)
 }
 
 #[cfg(test)]
@@ -635,10 +636,6 @@ mod tests {
         assert!(text.contains("Transfer-Encoding: chunked"));
         assert!(text.contains("Connection: keep-alive"));
         let body_at = text.find("\r\n\r\n").unwrap() + 4;
-        let mut r = BufReader::new(&wire[body_at..]);
-        let body = read_chunked_body(&mut r).unwrap();
-        assert_eq!(body, b"{\"traceEvents\":[]}");
-
         // The streaming decoder sees each chunk as framed, in order.
         let mut r = BufReader::new(&wire[body_at..]);
         let mut pieces: Vec<Vec<u8>> = Vec::new();

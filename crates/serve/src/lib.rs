@@ -17,15 +17,19 @@
 //! * [`json`] — the workspace's bounded JSON value parser and string
 //!   escaper, re-exported from `warped_telemetry::json`.
 //! * [`http`] — HTTP/1.1 framing (requests, responses, keep-alive
-//!   rules, chunked bodies).
-//! * [`cache`] — the sharded single-flight LRU result cache.
+//!   rules, chunked bodies) under hard size caps, shared by both sides.
+//! * [`cache`] — the sharded single-flight LRU result cache; its
+//!   compute closure is the only code that sees a miss.
 //! * [`cluster`] — consistent-hash sharding across peer nodes with
 //!   health-checked failover, peer forwarding, circuit breakers, and
 //!   a retrying/hedging cluster client plus the chaos harness.
-//! * [`disk`] — the persistent `fingerprint → bytes` warm cache.
+//! * [`disk`] — the persistent `fingerprint → bytes` warm cache, fed
+//!   only by local simulations.
 //! * [`metrics`] — wait-free counters and their `/metrics` exposition.
 //! * [`service`] — routing and endpoint logic over `Request` + `Write`
-//!   (no sockets; unit-testable against byte buffers).
+//!   (no sockets; unit-testable against byte buffers). A cell is
+//!   resolved once at validation, then looked up memory → disk → ring
+//!   owner → simulate.
 //! * [`server`] — the TCP transport: an acceptor under a connection
 //!   cap, one thread per connection blocking on its socket between
 //!   keep-alive requests, and cooperative graceful shutdown.

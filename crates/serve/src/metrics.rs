@@ -361,6 +361,7 @@ impl Metrics {
 mod tests {
     use super::*;
     use crate::cache::ResultCache;
+    use std::sync::Arc;
 
     #[test]
     fn renders_every_counter_with_current_values() {
@@ -370,10 +371,10 @@ mod tests {
         m.count_status(404);
         m.count_status(500);
         m.count_status(200);
-        let (r, _) = cache.get_or_compute(1, || Ok(b"x".to_vec()));
-        r.unwrap();
-        let (r, _) = cache.get_or_compute(1, || unreachable!());
-        r.unwrap();
+        cache
+            .get_or_compute(1, || Ok(Arc::new(b"x".to_vec())))
+            .unwrap();
+        cache.get_or_compute(1, || unreachable!()).unwrap();
 
         let mut stats = warped_sim::SimStats {
             events_dispatched: 40,

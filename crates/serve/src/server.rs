@@ -48,11 +48,6 @@ pub struct ServerConfig {
     /// Requests served concurrently (inside [`Service::handle`]); more
     /// connections may be open, their requests wait their turn.
     pub workers: usize,
-    /// Per-read timeout inside a request (a stalled client cannot
-    /// hold its connection forever). Must not be zero.
-    pub read_timeout: Option<Duration>,
-    /// Per-connection write timeout. Must not be zero.
-    pub write_timeout: Option<Duration>,
     /// How long a connection may wait for its next request before it
     /// is closed as idle. Must not be zero.
     pub keep_alive_timeout: Duration,
@@ -70,14 +65,18 @@ impl Default for ServerConfig {
         ServerConfig {
             addr: "127.0.0.1:7878".to_owned(),
             workers: worker_count(),
-            read_timeout: Some(Duration::from_secs(30)),
-            write_timeout: Some(Duration::from_secs(30)),
             keep_alive_timeout: Duration::from_secs(5),
             max_connections: None,
             service: ServiceConfig::default(),
         }
     }
 }
+
+/// Per-read timeout inside a request: a stalled client cannot hold its
+/// connection forever.
+const READ_TIMEOUT: Duration = Duration::from_secs(30);
+/// Per-connection write timeout.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(30);
 
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
@@ -179,8 +178,6 @@ struct Ctx {
     shutdown: AtomicBool,
     conns: Conns,
     gate: Gate,
-    read_timeout: Option<Duration>,
-    write_timeout: Option<Duration>,
     keep_alive_timeout: Duration,
     addr: SocketAddr,
 }
@@ -237,21 +234,15 @@ impl ServerHandle {
 ///
 /// # Errors
 ///
-/// Returns `InvalidInput` naming the field for a zero timeout (a
-/// socket cannot wait zero time), or the bind error if the address is
+/// Returns `InvalidInput` for a zero `keep_alive_timeout` (a socket
+/// cannot wait zero time), or the bind error if the address is
 /// unavailable.
 pub fn spawn(config: ServerConfig) -> io::Result<ServerHandle> {
-    for (field, timeout) in [
-        ("read_timeout", config.read_timeout),
-        ("write_timeout", config.write_timeout),
-        ("keep_alive_timeout", Some(config.keep_alive_timeout)),
-    ] {
-        if timeout == Some(Duration::ZERO) {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!("ServerConfig::{field} must not be zero"),
-            ));
-        }
+    if config.keep_alive_timeout.is_zero() {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            "ServerConfig::keep_alive_timeout must not be zero",
+        ));
     }
     let listener = TcpListener::bind(&config.addr)?;
     let workers = config.workers.max(1);
@@ -264,8 +255,6 @@ pub fn spawn(config: ServerConfig) -> io::Result<ServerHandle> {
             freed: Condvar::new(),
             limit: workers,
         },
-        read_timeout: config.read_timeout,
-        write_timeout: config.write_timeout,
         keep_alive_timeout: config.keep_alive_timeout,
         addr: listener.local_addr()?,
     });
@@ -346,7 +335,7 @@ fn shed(service: &Service, stream: TcpStream) {
 /// Serves requests off one connection until it closes, idles past the
 /// keep-alive timeout, or asks for shutdown.
 fn serve_connection(ctx: &Ctx, stream: TcpStream) -> io::Result<()> {
-    stream.set_write_timeout(ctx.write_timeout)?;
+    stream.set_write_timeout(Some(WRITE_TIMEOUT))?;
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = BufWriter::new(stream);
     let metrics = &ctx.service.metrics;
@@ -373,7 +362,7 @@ fn serve_connection(ctx: &Ctx, stream: TcpStream) -> io::Result<()> {
                 }
                 Err(e) => return Err(e),
             }
-            reader.get_ref().set_read_timeout(ctx.read_timeout)?;
+            reader.get_ref().set_read_timeout(Some(READ_TIMEOUT))?;
         } else if served > 0 {
             // The request sat in the buffer behind the previous one.
             metrics.pipelined_requests.fetch_add(1, Ordering::Relaxed);
@@ -422,46 +411,15 @@ fn serve_connection(ctx: &Ctx, stream: TcpStream) -> io::Result<()> {
 mod tests {
     use super::*;
 
-    fn zero(field: &str, config: ServerConfig) {
+    #[test]
+    fn zero_keep_alive_timeout_is_invalid_input() {
         let err = spawn(ServerConfig {
             addr: "127.0.0.1:0".to_owned(),
-            ..config
+            keep_alive_timeout: Duration::ZERO,
+            ..ServerConfig::default()
         })
         .expect_err("a zero timeout is refused");
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
-        assert!(err.to_string().contains(field), "{err}");
-    }
-
-    #[test]
-    fn zero_read_timeout_is_invalid_input() {
-        zero(
-            "read_timeout",
-            ServerConfig {
-                read_timeout: Some(Duration::ZERO),
-                ..ServerConfig::default()
-            },
-        );
-    }
-
-    #[test]
-    fn zero_write_timeout_is_invalid_input() {
-        zero(
-            "write_timeout",
-            ServerConfig {
-                write_timeout: Some(Duration::ZERO),
-                ..ServerConfig::default()
-            },
-        );
-    }
-
-    #[test]
-    fn zero_keep_alive_timeout_is_invalid_input() {
-        zero(
-            "keep_alive_timeout",
-            ServerConfig {
-                keep_alive_timeout: Duration::ZERO,
-                ..ServerConfig::default()
-            },
-        );
+        assert!(err.to_string().contains("keep_alive_timeout"), "{err}");
     }
 }

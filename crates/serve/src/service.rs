@@ -18,17 +18,18 @@
 //!   results stream back as chunked JSONL in **completion order**, so
 //!   overlapping batches dedupe work and the client sees the first
 //!   result before the last cell has even started.
-//! * `GET /grid` — the committed `bench_grid.json`
-//!   (`?regenerate=1&scale=<f>` re-sweeps it first).
+//! * `GET /grid` — the committed `bench_grid.json`, read-only (the
+//!   `sweep` binary or `POST /sweep` regenerates results).
 //! * `GET /trace?cell=<i>` — replay one grid cell with telemetry and
 //!   stream its Perfetto trace (`&format=rollup` for per-epoch JSONL)
 //!   with chunked transfer encoding.
 //! * `POST /shutdown` — graceful stop; in-flight work drains first.
 //!
-//! Result lookups go memory cache → disk cache → simulate: when
-//! [`ServiceConfig::disk_dir`] is set, every fresh result is persisted
-//! write-behind by [`crate::disk::DiskCache`], so a restart comes up
-//! warm and a completed sweep serves the whole grid with zero
+//! Result lookups go memory cache → disk cache → (a plain client's
+//! benchmark cell, cluster armed) the ring owner → simulate. When
+//! [`ServiceConfig::disk_dir`] is set, every local simulation is
+//! persisted write-behind by [`crate::disk::DiskCache`], so a restart
+//! comes up warm and a completed sweep serves the whole grid with zero
 //! simulations.
 //!
 //! Fault isolation: `/run` simulations execute under `catch_unwind`
@@ -43,11 +44,11 @@ use std::io::{self, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex, OnceLock};
+use std::sync::{mpsc, Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use warped_bench::grid::GridTable;
-use warped_bench::sweep::{self, SweepConfig};
+use warped_bench::sweep;
 use warped_gates::fingerprint::{cell_fingerprint, trace_cell_fingerprint};
 use warped_gates::{runner, Experiment, Technique, TechniqueRun};
 use warped_gating::GatingParams;
@@ -57,7 +58,7 @@ use warped_telemetry::{perfetto, rollup, Recorder, RecorderConfig};
 use warped_trace::TraceWorkload;
 use warped_workloads::Benchmark;
 
-use crate::cache::{Outcome, ResultCache};
+use crate::cache::ResultCache;
 use crate::cluster::{ChaosMode, Cluster, ClusterConfig, FORWARDED_HEADER};
 use crate::disk::DiskCache;
 use crate::http::{write_response, write_response_with, ChunkedWriter, Request};
@@ -73,16 +74,11 @@ pub struct ServiceConfig {
     pub cache_bytes: usize,
     /// Wall-clock watchdog per `/run` simulation.
     pub job_timeout: Option<Duration>,
-    /// Workload scale for `/trace` replays (full-scale traces are
-    /// hundreds of MB; the default keeps a stream interactive).
-    pub trace_scale: f64,
     /// Root directory for the persistent warm cache; `None` keeps the
     /// cache memory-only.
     pub disk_dir: Option<PathBuf>,
     /// Byte budget for the on-disk cache.
     pub disk_cache_bytes: u64,
-    /// Hard cap on cells per `/sweep` batch.
-    pub max_sweep_cells: usize,
     /// Cluster membership; `None` runs a standalone node.
     pub cluster: Option<ClusterConfig>,
     /// Directory of captured `*.wgt1` workload traces served under
@@ -96,10 +92,8 @@ impl Default for ServiceConfig {
             grid_path: PathBuf::from("results/bench_grid.json"),
             cache_bytes: 64 << 20,
             job_timeout: Some(Duration::from_secs(600)),
-            trace_scale: 0.1,
             disk_dir: None,
             disk_cache_bytes: 256 << 20,
-            max_sweep_cells: 4096,
             cluster: None,
             trace_dir: None,
         }
@@ -126,8 +120,6 @@ pub struct Service {
     pub disk: Option<DiskCache>,
     /// Service counters.
     pub metrics: Metrics,
-    /// Serialises `/grid?regenerate=1` sweeps (they share an out-dir).
-    regen: Mutex<()>,
     /// The cluster view when cluster mode is armed (set once, either
     /// from the config or via [`Service::arm_cluster`]).
     cluster: OnceLock<Cluster>,
@@ -135,10 +127,18 @@ pub struct Service {
     chaos: AtomicU8,
     /// The captured-trace corpus, keyed by each trace's *header* name
     /// (not its file name) — loaded once at startup.
-    traces: BTreeMap<String, Arc<TraceWorkload>>,
+    traces: Corpus,
 }
 
 const JSON: &str = "application/json";
+/// Hard cap on cells per `/sweep` batch.
+const MAX_SWEEP_CELLS: usize = 4096;
+/// Default workload scale for `/trace` replays (full-scale traces are
+/// hundreds of MB; this keeps a stream interactive).
+const TRACE_SCALE: f64 = 0.1;
+
+/// The captured-trace corpus, keyed by each trace's header name.
+type Corpus = BTreeMap<String, Arc<TraceWorkload>>;
 
 /// A request that failed, answered in-band with a typed error body
 /// `{"error":{"kind":...,"message":...}}`. It is the one source of
@@ -238,18 +238,17 @@ fn technique_from_name(name: &str) -> Option<Technique> {
 }
 
 /// What a cell simulates: a synthetic benchmark from the catalog, or
-/// a captured WGT1 trace named by its header (resolved against the
-/// corpus loaded at startup *before* any work begins, so an unknown
-/// name is a 400, not a mid-batch fault).
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum WorkloadRef {
+/// a captured WGT1 trace from the corpus loaded at startup. A trace is
+/// resolved while the request is validated, so an unknown name is a
+/// 400 before any work begins.
+enum Workload {
     Benchmark(Benchmark),
-    Trace(String),
+    Trace(Arc<TraceWorkload>),
 }
 
 /// A validated `/run` request.
 struct RunRequest {
-    workload: WorkloadRef,
+    workload: Workload,
     technique: Technique,
     scale: f64,
     params: GatingParams,
@@ -259,15 +258,10 @@ struct RunRequest {
 }
 
 impl RunRequest {
-    /// Parses and validates a request body. Unknown keys are rejected
-    /// so a typo cannot silently fall back to a default.
-    fn parse(body: &[u8]) -> Result<RunRequest, Fail> {
-        RunRequest::from_value(&parse_body(body)?)
-    }
-
-    /// Validates one already-parsed cell object (`/sweep` reuses this
-    /// per array element).
-    fn from_value(doc: &JsonValue) -> Result<RunRequest, Fail> {
+    /// Validates one parsed cell object against the loaded corpus
+    /// (`/sweep` calls this per array element). Unknown keys are
+    /// rejected so a typo cannot silently fall back to a default.
+    fn from_value(doc: &JsonValue, corpus: &Corpus) -> Result<RunRequest, Fail> {
         for key in doc.keys() {
             if !matches!(
                 key,
@@ -301,11 +295,23 @@ impl RunRequest {
             }
             (Some(_), None) => {
                 let benchmark_name = str_field("benchmark")?;
-                WorkloadRef::Benchmark(Benchmark::from_name(benchmark_name).ok_or_else(|| {
+                Workload::Benchmark(Benchmark::from_name(benchmark_name).ok_or_else(|| {
                     Fail::bad_request(format!("unknown benchmark \"{benchmark_name}\""))
                 })?)
             }
-            (None, Some(_)) => WorkloadRef::Trace(str_field("trace_ref")?.to_owned()),
+            (None, Some(_)) => {
+                let name = str_field("trace_ref")?;
+                let trace = corpus.get(name).ok_or_else(|| {
+                    let hint = if corpus.is_empty() {
+                        "no trace corpus is loaded (start with --trace-dir)".to_owned()
+                    } else {
+                        let names: Vec<&str> = corpus.keys().map(String::as_str).collect();
+                        format!("loaded traces: {}", names.join(", "))
+                    };
+                    Fail::bad_request(format!("unknown trace_ref \"{name}\"; {hint}"))
+                })?;
+                Workload::Trace(Arc::clone(trace))
+            }
         };
         let technique_name = str_field("technique")?;
         let technique = technique_from_name(technique_name)
@@ -351,8 +357,8 @@ impl RunRequest {
     /// `"benchmark":"nw"` or `"trace_ref":"nw"`.
     fn workload_json(&self) -> String {
         match &self.workload {
-            WorkloadRef::Benchmark(b) => format!("\"benchmark\":\"{}\"", json::escape(b.name())),
-            WorkloadRef::Trace(name) => format!("\"trace_ref\":\"{}\"", json::escape(name)),
+            Workload::Benchmark(b) => format!("\"benchmark\":\"{}\"", json::escape(b.name())),
+            Workload::Trace(t) => format!("\"trace_ref\":\"{}\"", json::escape(&t.name)),
         }
     }
 
@@ -376,8 +382,9 @@ impl RunRequest {
 
 /// Parses a `/sweep` body into validated cells. Accepts a bare array
 /// or `{"cells":[...]}`; every element must be a valid `/run` body,
-/// and the batch must be non-empty and under the configured cap.
-fn parse_sweep_cells(body: &[u8], max_cells: usize) -> Result<Vec<RunRequest>, Fail> {
+/// and the batch must be non-empty and at most [`MAX_SWEEP_CELLS`].
+/// The first invalid cell in array order names the failure.
+fn parse_sweep_cells(body: &[u8], corpus: &Corpus) -> Result<Vec<RunRequest>, Fail> {
     let doc = parse_body(body)?;
     let items = match &doc {
         JsonValue::Arr(items) => items,
@@ -399,9 +406,9 @@ fn parse_sweep_cells(body: &[u8], max_cells: usize) -> Result<Vec<RunRequest>, F
     if items.is_empty() {
         return Err(Fail::bad_request("sweep needs at least one cell"));
     }
-    if items.len() > max_cells {
+    if items.len() > MAX_SWEEP_CELLS {
         return Err(Fail::bad_request(format!(
-            "too many cells ({} > the {max_cells} cap)",
+            "too many cells ({} > the {MAX_SWEEP_CELLS} cap)",
             items.len()
         )));
     }
@@ -409,7 +416,7 @@ fn parse_sweep_cells(body: &[u8], max_cells: usize) -> Result<Vec<RunRequest>, F
         .iter()
         .enumerate()
         .map(|(i, v)| {
-            RunRequest::from_value(v)
+            RunRequest::from_value(v, corpus)
                 .map_err(|e| Fail::bad_request(format!("cells[{i}]: {}", e.message)))
         })
         .collect()
@@ -514,7 +521,7 @@ fn render_run(req: &RunRequest, fingerprint: u64, run: &TechniqueRun) -> Vec<u8>
 /// header name. A file that fails to read or parse is skipped (and
 /// counted in `trace_parse_errors`) rather than refusing startup —
 /// the same degradation policy as a broken disk-cache directory.
-fn load_traces(dir: &Path, metrics: &Metrics) -> BTreeMap<String, Arc<TraceWorkload>> {
+fn load_traces(dir: &Path, metrics: &Metrics) -> Corpus {
     let mut traces = BTreeMap::new();
     let entries = match std::fs::read_dir(dir) {
         Ok(entries) => entries,
@@ -578,7 +585,6 @@ impl Service {
             cache: ResultCache::new(shards, config.cache_bytes),
             disk,
             metrics,
-            regen: Mutex::new(()),
             cluster: OnceLock::new(),
             chaos: AtomicU8::new(0),
             traces,
@@ -593,12 +599,6 @@ impl Service {
             }
         }
         service
-    }
-
-    /// The configuration in effect.
-    #[must_use]
-    pub fn config(&self) -> &ServiceConfig {
-        &self.config
     }
 
     /// Arms cluster mode after construction (tests bind ephemeral
@@ -711,7 +711,7 @@ impl Service {
             ("POST", "/run") => self.run(req),
             ("POST", "/sweep") => self.sweep(req, out, keep_alive),
             ("POST", "/chaos") => self.chaos(req),
-            ("GET", "/grid") => self.grid(req),
+            ("GET", "/grid") => self.grid(),
             ("GET", "/trace") => self.trace(req, out, keep_alive),
             ("POST", "/shutdown") => Ok(Reply::Shutdown),
             (
@@ -727,51 +727,33 @@ impl Service {
         }
     }
 
-    /// Computes (or fetches) one cell's canonical report bytes,
-    /// looking up memory cache → disk cache → peer forward → simulate.
-    /// A fresh *local* result is persisted write-behind when
-    /// persistence is on; forwarded bytes stay memory-only (the owner
-    /// holds the disk shard). `local_only` skips the forward hop —
-    /// set for requests that already arrived forwarded, so a cell can
-    /// never bounce between peers. The returned flag is true when this
-    /// call ran a fresh simulation (false: a cache layer or a peer
-    /// answered).
+    /// Computes (or fetches) one cell's canonical report bytes, looking
+    /// up memory cache → disk cache → the ring owner → simulate. Only a
+    /// benchmark cell forwards, and only through `forward` (see
+    /// [`Service::forward_via`]); trace cells never hop, since the
+    /// corpus is node-local and a peer may not hold the trace. Only a
+    /// local simulation is persisted: disk hits are already there and
+    /// forwarded bytes belong to the owner's shard. The flag is true
+    /// when this call simulated.
     fn run_cell(
         &self,
-        run_req: &RunRequest,
-        local_only: bool,
+        cell: &RunRequest,
+        forward: Option<&Cluster>,
     ) -> (Result<Arc<Vec<u8>>, Fail>, bool) {
-        // Trace refs resolve against the corpus loaded at startup.
-        // `/run` and `/sweep` validate refs before any work, so this
-        // branch only fires on an internal caller bug — it still
-        // degrades to a typed error rather than a panic.
-        let (spec, trace) = match &run_req.workload {
-            WorkloadRef::Benchmark(b) => (Some(b.spec()), None),
-            WorkloadRef::Trace(name) => match self.traces.get(name) {
-                Some(t) => (None, Some(Arc::clone(t))),
-                None => {
-                    let message = format!("no trace named \"{name}\" is loaded");
-                    return (Err(Fail::new(500, "unknown_trace", message)), false);
-                }
-            },
-        };
         // Constructing the experiment validates the gating parameters,
         // which panics on out-of-range values (e.g. bet = 0) — fault
         // isolation starts here, not at the simulation.
         let built = catch_unwind(AssertUnwindSafe(|| {
-            let experiment = Experiment::new(run_req.params)
-                .with_scale(run_req.scale)
+            let experiment = Experiment::new(cell.params)
+                .with_scale(cell.scale)
                 .with_job_timeout(self.config.job_timeout)
-                .with_memory_hierarchy(
-                    run_req.hierarchy.then(warped_sim::HierarchyConfig::default),
-                );
+                .with_memory_hierarchy(cell.hierarchy.then(warped_sim::HierarchyConfig::default));
             // The trace fingerprint folds the capture's content digest,
             // so two corpora serving the same name with different bytes
             // can never alias in any cache layer.
-            let fingerprint = match (&spec, &trace) {
-                (Some(spec), _) => cell_fingerprint(&experiment, spec, run_req.technique),
-                (None, Some(t)) => trace_cell_fingerprint(&experiment, t, run_req.technique),
-                (None, None) => unreachable!("workload resolved above"),
+            let fingerprint = match &cell.workload {
+                Workload::Benchmark(b) => cell_fingerprint(&experiment, &b.spec(), cell.technique),
+                Workload::Trace(t) => trace_cell_fingerprint(&experiment, t, cell.technique),
             };
             (experiment, fingerprint)
         }));
@@ -781,66 +763,41 @@ impl Service {
         };
 
         let mut simulated = false;
-        let mut forwarded = false;
-        let (result, outcome) = self.cache.get_or_compute(fingerprint, || {
-            if let Some(disk) = &self.disk {
-                if let Some(bytes) = disk.get(fingerprint) {
-                    return Ok(bytes);
-                }
+        let result = self.cache.get_or_compute(fingerprint, || {
+            if let Some(bytes) = self.disk.as_ref().and_then(|disk| disk.get(fingerprint)) {
+                return Ok(Arc::new(bytes));
             }
-            // Not ours? One forwarding hop to the ring owner; a failed
-            // forward (or an open breaker) degrades to simulating here
-            // — availability beats placement. Trace cells never hop:
-            // the corpus is node-local configuration, so a peer may
-            // not hold the referenced trace at all.
-            if !local_only && trace.is_none() {
-                if let Some(cluster) = self.cluster.get() {
-                    if let Some(owner) = cluster.forward_target(fingerprint) {
-                        if let Some(bytes) = cluster.forward_run(owner, &run_req.to_body()) {
-                            forwarded = true;
-                            return Ok(bytes);
-                        }
-                    }
+            // Not ours? One hop to the ring owner; a failed forward (or
+            // an open breaker) degrades to simulating here —
+            // availability beats placement.
+            if let (Workload::Benchmark(_), Some(cluster)) = (&cell.workload, forward) {
+                let owner = cluster.forward_target(fingerprint);
+                if let Some(bytes) = owner.and_then(|o| cluster.forward_run(o, &cell.to_body())) {
+                    return Ok(Arc::new(bytes));
                 }
             }
             let _guard = self.metrics.job_started();
-            let outcome = catch_unwind(AssertUnwindSafe(|| match (&spec, &trace) {
-                (Some(spec), _) => experiment.run(spec, run_req.technique),
-                (None, Some(t)) => experiment.run_trace(t, run_req.technique),
-                (None, None) => unreachable!("workload resolved above"),
-            }));
-            match outcome {
-                Err(payload) => Err(self.cell_panicked(payload.as_ref())),
-                Ok(run) if run.timed_out => {
-                    self.metrics.timed_out_cells.fetch_add(1, Ordering::Relaxed);
-                    Err(Fail::new(
-                        500,
-                        "timeout",
-                        format!(
-                            "cell exceeded the wall-clock budget ({:?})",
-                            self.config.job_timeout
-                        ),
-                    ))
-                }
-                Ok(run) => {
-                    simulated = true;
-                    self.metrics.simulations.fetch_add(1, Ordering::Relaxed);
-                    self.metrics.record_core_counters(&run.stats);
-                    Ok(render_run(run_req, fingerprint, &run))
-                }
+            let run = catch_unwind(AssertUnwindSafe(|| match &cell.workload {
+                Workload::Benchmark(b) => experiment.run(&b.spec(), cell.technique),
+                Workload::Trace(t) => experiment.run_trace(t, cell.technique),
+            }))
+            .map_err(|payload| self.cell_panicked(payload.as_ref()))?;
+            if run.timed_out {
+                self.metrics.timed_out_cells.fetch_add(1, Ordering::Relaxed);
+                let budget = self.config.job_timeout;
+                let message = format!("cell exceeded the wall-clock budget ({budget:?})");
+                return Err(Fail::new(500, "timeout", message));
             }
+            simulated = true;
+            self.metrics.simulations.fetch_add(1, Ordering::Relaxed);
+            self.metrics.record_core_counters(&run.stats);
+            let bytes = Arc::new(render_run(cell, fingerprint, &run));
+            if let Some(disk) = &self.disk {
+                disk.put(fingerprint, Arc::clone(&bytes));
+            }
+            Ok(bytes)
         });
-        // Persist only what this call materialised *locally*: hits
-        // already live on disk (or deliberately don't), forwarded
-        // bytes belong to the owner's shard, and `put` is cheap but
-        // not free. A disk hit re-entering `put` is deduped by the
-        // index.
-        if outcome == Outcome::Miss && !forwarded {
-            if let (Some(disk), Ok(bytes)) = (&self.disk, &result) {
-                disk.put(fingerprint, Arc::clone(bytes));
-            }
-        }
-        if trace.is_some() && result.is_ok() {
+        if matches!(cell.workload, Workload::Trace(_)) && result.is_ok() {
             self.metrics
                 .trace_cells_served
                 .fetch_add(1, Ordering::Relaxed);
@@ -854,44 +811,22 @@ impl Service {
         Fail::new(500, "panic", panic_message(payload))
     }
 
-    /// Rejects any cell naming a trace this server has not loaded.
-    /// Runs during request validation, before any simulation starts,
-    /// so the client gets a 400 naming the cell — never a mid-batch
-    /// fault.
-    fn check_trace_refs(&self, cells: &[RunRequest]) -> Result<(), Fail> {
-        for (i, cell) in cells.iter().enumerate() {
-            if let WorkloadRef::Trace(name) = &cell.workload {
-                if !self.traces.contains_key(name) {
-                    let hint = if self.traces.is_empty() {
-                        "; no trace corpus is loaded (start with --trace-dir)".to_owned()
-                    } else {
-                        format!(
-                            "; loaded traces: {}",
-                            self.traces
-                                .keys()
-                                .map(String::as_str)
-                                .collect::<Vec<_>>()
-                                .join(", ")
-                        )
-                    };
-                    return Err(Fail::bad_request(if cells.len() == 1 {
-                        format!("unknown trace_ref \"{name}\"{hint}")
-                    } else {
-                        format!("cells[{i}]: unknown trace_ref \"{name}\"{hint}")
-                    }));
-                }
-            }
-        }
-        Ok(())
+    /// The cluster a request's benchmark cells may forward through:
+    /// none when no cluster is armed or the request already arrived
+    /// forwarded, so a cell never bounces between peers.
+    fn forward_via(&self, req: &Request) -> Option<&Cluster> {
+        self.cluster
+            .get()
+            .filter(|_| req.header(FORWARDED_HEADER).is_none())
     }
 
     /// `POST /run`: validate, fingerprint, serve through the
     /// single-flight cache, fault-isolate the simulation.
     fn run(&self, req: &Request) -> Result<Reply, Fail> {
-        let run_req = RunRequest::parse(&req.body)?;
-        self.check_trace_refs(std::slice::from_ref(&run_req))?;
-        let local_only = req.header(FORWARDED_HEADER).is_some();
-        self.run_cell(&run_req, local_only).0.map(Reply::Report)
+        let cell = RunRequest::from_value(&parse_body(&req.body)?, &self.traces)?;
+        self.run_cell(&cell, self.forward_via(req))
+            .0
+            .map(Reply::Report)
     }
 
     /// `POST /sweep`: a batch of cells (`[{...},...]` or
@@ -905,21 +840,20 @@ impl Service {
     /// cell fails the whole batch with a `400` naming it, so a client
     /// can't burn a long sweep only to find a typo'd tail.
     fn sweep(&self, req: &Request, out: &mut dyn Write, keep_alive: bool) -> Result<Reply, Fail> {
-        let cells = parse_sweep_cells(&req.body, self.config.max_sweep_cells)?;
-        self.check_trace_refs(&cells)?;
+        let cells = parse_sweep_cells(&req.body, &self.traces)?;
         self.metrics
             .sweep_cells
             .fetch_add(cells.len() as u64, Ordering::Relaxed);
-        let local_only = req.header(FORWARDED_HEADER).is_some();
+        let forward = self.forward_via(req);
         Ok(Reply::Streamed(
-            self.stream_sweep(&cells, local_only, out, keep_alive),
+            self.stream_sweep(&cells, forward, out, keep_alive),
         ))
     }
 
     fn stream_sweep(
         &self,
         cells: &[RunRequest],
-        local_only: bool,
+        forward: Option<&Cluster>,
         out: &mut dyn Write,
         keep_alive: bool,
     ) -> io::Result<()> {
@@ -934,7 +868,7 @@ impl Service {
                 scope.spawn(move || loop {
                     let i = next.fetch_add(1, Ordering::Relaxed);
                     let Some(cell) = cells.get(i) else { break };
-                    let (result, simulated) = self.run_cell(cell, local_only);
+                    let (result, simulated) = self.run_cell(cell, forward);
                     // A send error means the client hung up and the
                     // streaming loop bailed: stop pulling cells.
                     if tx.send((i, result, simulated)).is_err() {
@@ -995,35 +929,15 @@ impl Service {
         Ok(Reply::Body(JSON, Cow::Owned(body.into_bytes())))
     }
 
-    /// `GET /grid`: the committed sweep table, optionally regenerated.
-    fn grid(&self, req: &Request) -> Result<Reply, Fail> {
-        if req.query_param("regenerate") == Some("1") {
-            let scale = req
-                .query_param("scale")
-                .map_or(Ok(1.0), |s| unit_scale(s.parse().ok()))?;
-            let out_dir = self
-                .config
-                .grid_path
-                .parent()
-                .map_or_else(|| PathBuf::from("."), PathBuf::from);
-            let _serialised = self.regen.lock().expect("regen lock poisoned");
-            let mut sweep_config = SweepConfig::new(out_dir, worker_count());
-            sweep_config.scale = scale;
-            sweep_config.quiet = true;
-            let summary =
-                sweep::run(&sweep_config).map_err(|e| Fail::new(500, "io", e.to_string()))?;
-            if !summary.ok() {
-                let message = format!("{} grid cells failed", summary.failures.len());
-                return Err(Fail::new(500, "sweep_failed", message));
-            }
-        }
+    /// `GET /grid`: the committed sweep table.
+    fn grid(&self) -> Result<Reply, Fail> {
         let bytes = std::fs::read(&self.config.grid_path).map_err(|e| {
             if e.kind() == io::ErrorKind::NotFound {
                 Fail::new(
                     404,
                     "no_grid",
                     format!(
-                        "{} not found; POST /grid?regenerate=1 or run the sweep binary",
+                        "{} not found; run the sweep binary to write it",
                         self.config.grid_path.display()
                     ),
                 )
@@ -1055,7 +969,7 @@ impl Service {
             })?;
         let scale = req
             .query_param("scale")
-            .map_or(Ok(self.config.trace_scale), |s| unit_scale(s.parse().ok()))?;
+            .map_or(Ok(TRACE_SCALE), |s| unit_scale(s.parse().ok()))?;
         let format = req.query_param("format").unwrap_or("perfetto");
         if format != "perfetto" && format != "rollup" {
             return Err(Fail::bad_request("\"format\" must be perfetto or rollup"));
@@ -1142,10 +1056,7 @@ mod tests {
     }
 
     fn quick_service() -> Service {
-        Service::new(ServiceConfig {
-            trace_scale: 0.05,
-            ..ServiceConfig::default()
-        })
+        Service::new(ServiceConfig::default())
     }
 
     fn dispatch(service: &Service, req: &Request) -> (u16, String, Handled) {
@@ -1331,7 +1242,6 @@ mod tests {
         let root = std::env::temp_dir().join(format!("warped_service_disk_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&root);
         let config = ServiceConfig {
-            trace_scale: 0.05,
             disk_dir: Some(root.clone()),
             ..ServiceConfig::default()
         };
@@ -1519,23 +1429,38 @@ mod tests {
         let body = "{\"benchmark\":\"bfs\",\"technique\":\"warped-gates\",\
                      \"scale\":0.25,\"idle_detect\":5,\"bet\":14,\"wakeup_delay\":9,\
                      \"hierarchy\":true}";
-        let parsed = RunRequest::parse(body.as_bytes()).unwrap();
+        let parse = |body: &str, corpus: &Corpus| {
+            RunRequest::from_value(&json::parse(body).unwrap(), corpus).unwrap()
+        };
+        let none = Corpus::new();
+        let parsed = parse(body, &none);
         let rendered = parsed.to_body();
-        let reparsed = RunRequest::parse(rendered.as_bytes()).unwrap();
-        assert_eq!(parsed.workload, reparsed.workload);
+        let reparsed = parse(&rendered, &none);
+        assert!(matches!(
+            reparsed.workload,
+            Workload::Benchmark(Benchmark::Bfs)
+        ));
         assert_eq!(parsed.technique, reparsed.technique);
         assert_eq!(parsed.scale, reparsed.scale);
         assert_eq!(parsed.params, reparsed.params);
         assert_eq!(parsed.hierarchy, reparsed.hierarchy);
+        assert_eq!(rendered, reparsed.to_body());
 
-        // The trace flavour round-trips the same way.
-        let trace = RunRequest::parse(
-            b"{\"trace_ref\":\"hotspot\",\"technique\":\"baseline\",\"scale\":0.5}",
-        )
-        .unwrap();
-        let re = RunRequest::parse(trace.to_body().as_bytes()).unwrap();
-        assert_eq!(trace.workload, re.workload);
-        assert_eq!(re.workload, WorkloadRef::Trace("hotspot".to_owned()));
+        // The trace flavour round-trips the same way, resolving to the
+        // one loaded trace both times.
+        let dir = write_test_corpus("roundtrip");
+        let corpus = load_traces(&dir, &Metrics::default());
+        let trace = parse(
+            "{\"trace_ref\":\"nw\",\"technique\":\"baseline\",\"scale\":0.5}",
+            &corpus,
+        );
+        let re = parse(&trace.to_body(), &corpus);
+        assert_eq!(trace.to_body(), re.to_body());
+        match (&trace.workload, &re.workload) {
+            (Workload::Trace(a), Workload::Trace(b)) => assert!(Arc::ptr_eq(a, b)),
+            _ => panic!("a trace_ref parses to a trace workload"),
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

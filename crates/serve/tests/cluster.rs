@@ -12,7 +12,7 @@ use warped_gates::Technique;
 use warped_serve::cluster::{
     cell_for, ChaosMode, Cluster, ClusterCell, ClusterClient, ClusterConfig,
 };
-use warped_serve::{client, spawn, ServerConfig, ServerHandle, ServiceConfig};
+use warped_serve::{client, spawn, ServerConfig, ServerHandle};
 use warped_workloads::Benchmark;
 
 const SCALE: f64 = 0.05;
@@ -21,10 +21,6 @@ fn spawn_node() -> ServerHandle {
     spawn(ServerConfig {
         addr: "127.0.0.1:0".to_owned(),
         workers: 4,
-        service: ServiceConfig {
-            trace_scale: SCALE,
-            ..ServiceConfig::default()
-        },
         ..ServerConfig::default()
     })
     .expect("bind an ephemeral port")

@@ -14,7 +14,6 @@ use warped_serve::http::Request;
 use warped_serve::{Service, ServiceConfig};
 
 const PANIC: &str = "break-even time must be positive";
-const SWEEP_CAP: usize = 2;
 
 fn request(method: &str, target: &str, body: &str) -> Request {
     let (path, query_text) = target.split_once('?').unwrap_or((target, ""));
@@ -38,8 +37,6 @@ fn request(method: &str, target: &str, body: &str) -> Request {
 fn service(config: ServiceConfig) -> Service {
     Service::new(ServiceConfig {
         grid_path: PathBuf::from("/nonexistent/bench_grid.json"),
-        trace_scale: 0.05,
-        max_sweep_cells: SWEEP_CAP,
         ..config
     })
 }
@@ -101,6 +98,7 @@ fn server_error(service: &Service, req: &Request, kind: &str, message: &str) {
 fn every_client_error_is_pinned_byte_for_byte() {
     let s = service(ServiceConfig::default());
     let run = |body: &str| request("POST", "/run", body);
+    let over_cap = format!("[{}{{}}]", "{},".repeat(4096));
     let cases: &[(Request, &str)] = &[
         (run("{not json"), r#"invalid JSON at byte 1: expected '\"'"#),
         (run(""), "invalid JSON at byte 0: expected a JSON value"),
@@ -145,8 +143,8 @@ fn every_client_error_is_pinned_byte_for_byte() {
             "sweep needs at least one cell",
         ),
         (
-            request("POST", "/sweep", "[{},{},{}]"),
-            "too many cells (3 > the 2 cap)",
+            request("POST", "/sweep", &over_cap),
+            "too many cells (4097 > the 4096 cap)",
         ),
         (
             request("POST", "/sweep", r#"{"cells":7}"#),
@@ -177,20 +175,22 @@ fn every_client_error_is_pinned_byte_for_byte() {
             r#"cells[1]: unknown trace_ref \"x\"; no trace corpus is loaded (start with --trace-dir)"#,
         ),
         (
+            // Cells validate in array order: the unknown trace in
+            // cell 0 is named before cell 1's unknown field.
+            request(
+                "POST",
+                "/sweep",
+                r#"[{"trace_ref":"x","technique":"baseline"},{"benchmark":"nw","technique":"baseline","typo":1}]"#,
+            ),
+            r#"cells[0]: unknown trace_ref \"x\"; no trace corpus is loaded (start with --trace-dir)"#,
+        ),
+        (
             request("POST", "/chaos", r#"{"mode":"nope"}"#),
             r#"body must be {\"mode\":\"none\"|\"error\"|\"stall\"|\"abort\"}"#,
         ),
         (
             request("POST", "/chaos", r#"{"mood":"error"}"#),
             r#"body must be {\"mode\":\"none\"|\"error\"|\"stall\"|\"abort\"}"#,
-        ),
-        (
-            request("GET", "/grid?regenerate=1&scale=7", ""),
-            r#"\"scale\" must be a number in (0,1]"#,
-        ),
-        (
-            request("GET", "/grid?regenerate=1&scale=nope", ""),
-            r#"\"scale\" must be a number in (0,1]"#,
         ),
         (
             request("GET", "/trace?cell=0&scale=0", ""),
@@ -225,7 +225,7 @@ fn every_client_error_is_pinned_byte_for_byte() {
         &request("GET", "/grid", ""),
         "404 Not Found",
         "{\"error\":{\"kind\":\"no_grid\",\"message\":\"/nonexistent/bench_grid.json not found; \
-         POST /grid?regenerate=1 or run the sweep binary\"}}\n",
+         run the sweep binary to write it\"}}\n",
         (1, 0),
     );
     pin(

@@ -214,10 +214,7 @@ fn hostile_json_never_panics_and_depth_is_capped() {
 
 #[test]
 fn fuzzed_run_bodies_answer_typed_400s() {
-    let service = Service::new(ServiceConfig {
-        trace_scale: 0.05,
-        ..ServiceConfig::default()
-    });
+    let service = Service::new(ServiceConfig::default());
     for seed in 0..300u64 {
         let mut rng = SplitMix64::new(seed ^ 0x626f_6479);
         let len = rng.below(120) as usize;

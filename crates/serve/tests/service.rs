@@ -17,10 +17,6 @@ fn test_server() -> ServerHandle {
     spawn(ServerConfig {
         addr: "127.0.0.1:0".to_owned(),
         workers: 8,
-        service: ServiceConfig {
-            trace_scale: 0.05,
-            ..ServiceConfig::default()
-        },
         ..ServerConfig::default()
     })
     .expect("bind an ephemeral port")
@@ -355,10 +351,6 @@ fn connection_cap_sheds_with_503_retry_after() {
         addr: "127.0.0.1:0".to_owned(),
         workers: 1,
         max_connections: Some(4),
-        service: ServiceConfig {
-            trace_scale: 0.05,
-            ..ServiceConfig::default()
-        },
         ..ServerConfig::default()
     })
     .expect("bind an ephemeral port");
@@ -575,7 +567,6 @@ fn restart_over_the_same_cache_dir_serves_from_disk() {
         addr: "127.0.0.1:0".to_owned(),
         workers: 4,
         service: ServiceConfig {
-            trace_scale: 0.05,
             disk_dir: Some(dir.clone()),
             ..ServiceConfig::default()
         },

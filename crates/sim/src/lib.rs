@@ -62,7 +62,7 @@ mod decode;
 mod domain;
 mod exec;
 mod gate_iface;
-mod gpu;
+mod launch;
 mod mem;
 pub mod parallel;
 pub mod probe;
@@ -84,7 +84,7 @@ pub use domain::{
 pub use gate_iface::{
     AlwaysOn, CycleObservation, DomainGatingStats, GateTransition, GatingReport, PowerGating,
 };
-pub use gpu::LaunchConfig;
+pub use launch::LaunchConfig;
 pub use mem::{LoadIssue, MemorySubsystem};
 pub use probe::{Event, Recorder, RecorderConfig, Stamped, TelemetryChunk, TelemetryLog};
 pub use sanitize::{GatingInvariants, Sanitizer};

@@ -101,7 +101,7 @@ impl Iterator for RoundRobin {
 /// order (see [`round_robin`]). The SM keeps one context alive across
 /// its whole run and updates those bitmaps only when a warp's
 /// classification changes, then rearms the per-cycle state with
-/// [`reset_for_cycle`](IssueCtx::reset_for_cycle) — no per-cycle
+/// `reset_for_cycle` — no per-cycle
 /// rebuild of the ready set.
 #[derive(Debug)]
 pub struct IssueCtx {

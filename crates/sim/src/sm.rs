@@ -4,7 +4,7 @@ use crate::config::SmConfig;
 use crate::domain::{flags_of, mask_of, DomainId, DomainLayout, DomainMask, NUM_DOMAINS};
 use crate::exec::ExecUnits;
 use crate::gate_iface::{CycleObservation, GateTransition, GatingReport, PowerGating};
-use crate::gpu::LaunchConfig;
+use crate::launch::LaunchConfig;
 use crate::mem::MemorySubsystem;
 use crate::probe::{Event as ProbeEvent, Recorder};
 use crate::sanitize::Sanitizer;

@@ -4,7 +4,7 @@
 //! this module flattens them into self-describing [`RollupRow`]s — one
 //! JSON object per epoch, one line per object — optionally merged with
 //! the per-epoch static-energy deltas an
-//! [`EnergyTimeline`](warped_power::EnergyTimeline) integrated over the
+//! [`EnergyTimeline`] integrated over the
 //! same run. JSONL keeps the stream appendable and trivially parseable
 //! (`jq`, pandas, a for-loop) without holding the whole run in memory.
 

@@ -46,7 +46,7 @@ impl SplitMix64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
-    /// A Bernoulli draw: `true` with probability `p` (clamped to [0,1]).
+    /// A Bernoulli draw: `true` with probability `p` (clamped to `[0, 1]`).
     pub fn chance(&mut self, p: f64) -> bool {
         self.next_f64() < p
     }

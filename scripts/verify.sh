@@ -24,6 +24,9 @@ else
     echo "clippy not installed; skipping"
 fi
 
+step "cargo doc (rustdoc warnings are errors, so intra-doc links cannot rot)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
+
 step "cargo build --release"
 cargo build --release --workspace
 
